@@ -9,10 +9,9 @@
 /// benchmark isolates aggregation *overhead* (total time, message counts);
 /// latency is irrelevant here by design (paper section III-D).
 ///
-/// Scheme::Mesh2D/Mesh3D configurations run the same workload through
-/// route::RoutedDomain instead of TramDomain: identical delivery contract,
-/// multi-hop message path (bench/fig_routed_histogram.cpp sweeps the two
-/// side by side).
+/// Scheme::Mesh2D/Mesh3D configurations run the same workload over the
+/// multi-hop message path (bench/fig_routed_histogram.cpp sweeps the direct
+/// and routed schemes side by side).
 
 #include <cstdint>
 #include <memory>
@@ -20,7 +19,6 @@
 
 #include "core/tram.hpp"
 #include "graph/csr.hpp"
-#include "route/routed_domain.hpp"
 #include "runtime/machine.hpp"
 
 namespace tram::apps {
@@ -61,9 +59,7 @@ class HistogramApp {
   rt::Machine& machine_;
   HistogramParams params_;
   graph::BlockPartition part_;
-  /// Exactly one of the two is constructed, per params.tram.scheme.
-  std::unique_ptr<core::TramDomain<std::uint64_t>> direct_;
-  std::unique_ptr<route::RoutedDomain<std::uint64_t>> routed_;
+  std::unique_ptr<core::TramDomain<std::uint64_t>> tram_;
   std::vector<std::vector<std::uint64_t>> tables_;
 };
 

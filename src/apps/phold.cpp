@@ -14,13 +14,8 @@ PholdApp::PholdApp(rt::Machine& machine, const PholdParams& params)
   auto deliver = [this](rt::Worker& w, const Event& ev) {
     handle_event(w, ev);
   };
-  if (core::is_routed(params_.tram.scheme)) {
-    routed_ = std::make_unique<route::RoutedDomain<Event>>(
-        machine, params_.tram, deliver);
-  } else {
-    direct_ = std::make_unique<core::TramDomain<Event>>(
-        machine, params_.tram, deliver);
-  }
+  tram_ = std::make_unique<core::TramDomain<Event>>(machine, params_.tram,
+                                                   deliver);
   for (int w = 0; w < machine.topology().workers(); ++w) {
     state_[static_cast<std::size_t>(w)].value.lp_clock.assign(
         part_.size(w), 0.0);
@@ -28,11 +23,7 @@ PholdApp::PholdApp(rt::Machine& machine, const PholdParams& params)
 }
 
 void PholdApp::send_event(rt::Worker& w, WorkerId dest, const Event& ev) {
-  if (routed_) {
-    routed_->on(w).insert(dest, ev);
-  } else {
-    direct_->on(w).insert(dest, ev);
-  }
+  tram_->on(w).insert(dest, ev);
 }
 
 void PholdApp::handle_event(rt::Worker& w, const Event& ev) {
@@ -78,8 +69,7 @@ PholdResult PholdApp::run(std::uint64_t seed) {
     std::fill(st.lp_clock.begin(), st.lp_clock.end(), 0.0);
     st.processed = st.ooo = 0;
   }
-  if (direct_) direct_->reset_stats();
-  if (routed_) routed_->reset_stats();
+  tram_->reset_stats();
 
   const auto result = machine_.run(
       [this, seed](rt::Worker& w) {
@@ -102,20 +92,14 @@ PholdResult PholdApp::run(std::uint64_t seed) {
             w.progress();
           }
         }
-        if (routed_) {
-          routed_->on(w).flush_all();
-        } else {
-          direct_->on(w).flush_all();
-        }
+        tram_->on(w).flush_all();
       },
       seed);
 
   PholdResult res;
   res.run = result;
-  res.tram =
-      direct_ ? direct_->aggregate_stats() : routed_->aggregate_stats();
-  res.max_reserved_buffers = direct_ ? direct_->max_reserved_buffers()
-                                     : routed_->max_reserved_buffers();
+  res.tram = tram_->aggregate_stats();
+  res.max_reserved_buffers = tram_->max_reserved_buffers();
   for (const auto& s : state_) {
     res.events_processed += s.value.processed;
     res.ooo_events += s.value.ooo;

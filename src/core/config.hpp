@@ -27,8 +27,9 @@ struct TramConfig {
   /// Flush automatically whenever the owning worker goes idle. This is what
   /// bounds item latency for irregular applications (SSSP, PDES) — without
   /// it, the tail of a stream can sit in a partially-filled buffer forever.
-  /// Routed schemes require it (RoutedDomain rejects false): entries
-  /// re-aggregated at an intermediate hop have no other drain path.
+  /// Routed schemes require it (TramDomain rejects false for Mesh2D and
+  /// Mesh3D): entries re-aggregated at an intermediate hop have no other
+  /// drain path.
   bool flush_on_idle = true;
 
   /// Stamp every item with its insert time and record delivery latency at
@@ -41,8 +42,10 @@ struct TramConfig {
   /// optimizations).
   bool expedited = true;
 
-  /// Optional time-based flush: when nonzero, a worker's idle/progress path
-  /// flushes buffers older than this many nanoseconds.
+  /// Optional time-based flush: when nonzero, a worker's insert path
+  /// (checked every 1024 inserts) flushes all its buffers once its last
+  /// flush is older than this many nanoseconds — a latency bound for
+  /// busy workers whose idle hook never runs. Every scheme honors it.
   std::uint64_t flush_timeout_ns = 0;
 
   /// Item prioritization (the paper's future-work feature): when nonzero,

@@ -1,10 +1,10 @@
-/// Explicit instantiations of the TramDomain template for common item
+/// Explicit instantiations of the aggregation engine for common item
 /// types: catches template compile errors at library build time and speeds
-/// up dependent TUs. (RoutedDomain has the same in
-/// route/instantiations.cpp — its own layer.)
+/// up dependent TUs.
 #include <cstdint>
 
 #include "core/tram.hpp"
+#include "route/routed_domain.hpp"
 
 namespace tram::core {
 
@@ -12,3 +12,10 @@ template class TramDomain<std::uint32_t>;
 template class TramDomain<std::uint64_t>;
 
 }  // namespace tram::core
+
+namespace tram::route {
+
+template class RoutedDomain<std::uint32_t>;
+template class RoutedDomain<std::uint64_t>;
+
+}  // namespace tram::route

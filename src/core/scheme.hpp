@@ -44,12 +44,12 @@ std::optional<Scheme> parse_scheme(std::string_view name);
 std::vector<Scheme> all_schemes();
 /// The direct aggregating schemes (everything but None and the meshes).
 std::vector<Scheme> aggregating_schemes();
-/// The topologically routed schemes (handled by route::RoutedDomain).
+/// The topologically routed schemes.
 std::vector<Scheme> routed_schemes();
 
-/// True for schemes routed over a virtual mesh (multi-hop, re-aggregated
-/// at intermediates). These are driven by route::RoutedDomain, not
-/// TramDomain.
+/// True for schemes routed over a virtual mesh of two or more dimensions
+/// (multi-hop, re-aggregated at intermediates). TramDomain runs every
+/// scheme; the direct ones are its 1-D case, where every ship is final.
 inline bool is_routed(Scheme s) {
   return s == Scheme::Mesh2D || s == Scheme::Mesh3D;
 }

@@ -17,11 +17,12 @@
 /// path. decode is the mirror image: rt::decode_payload views the same
 /// slab bytes as entries at the destination.
 ///
-/// WsP messages prepend a SegmentHeader: per-local-worker counts, so the
-/// receiver scatters pre-grouped segments in O(t) instead of scanning g
-/// items.
+/// WsP messages to a process of more than one worker prepend a
+/// SegmentHeader: per-local-worker counts, so the receiver scatters
+/// pre-grouped segments in O(t) instead of scanning g items. Every other
+/// direct-scheme message is a bare entry array.
 ///
-/// Routed (mesh) messages prepend a RoutedHeader instead: the mesh
+/// Routed (mesh) messages prepend a RoutedHeader: the mesh
 /// dimension the message travelled along, its hop ordinal, and a flags
 /// byte whose kPriority bit marks batches from the priority path — so
 /// intermediates can validate dimension order, re-bucket urgent entries
@@ -75,7 +76,7 @@ struct SegmentHeader {
 /// multiple of alignof(WireEntry) (8) so the entries that follow decode
 /// aligned in place.
 struct RoutedHeader {
-  /// Guards against a routed payload landing on a direct endpoint.
+  /// Guards against wire corruption (a payload that is not a mesh ship).
   /// kSortedMagic additionally marks the payload pre-sorted by
   /// destination local rank (every entry terminates at this process).
   std::uint32_t magic = kMagic;
@@ -174,11 +175,6 @@ class EntryBuffer {
   std::uint32_t size() const noexcept { return count_; }
   bool empty() const noexcept { return count_ == 0; }
 
-  /// True once this buffer has ever acquired storage (memory-footprint
-  /// accounting: mirrors the one-reserve-per-destination the formulas
-  /// charge, even though the slab itself cycles through the pool).
-  bool ever_acquired() const noexcept { return ever_acquired_; }
-
   /// Reserve header space at the front of every slab this buffer acquires.
   /// Must be a multiple of alignof(Entry) (entries follow in place) and
   /// set while the buffer is empty and unacquired.
@@ -209,7 +205,6 @@ class EntryBuffer {
       const std::size_t items = cap_items == 0 ? 1 : cap_items;
       ref_ = util::PayloadPool::global().acquire(header_bytes_ +
                                                  items * sizeof(Entry));
-      ever_acquired_ = true;
     }
     // The vector this replaced grew on overfill; a slab cannot. A caller
     // that fails to ship at cap_items would corrupt pool memory.
@@ -229,7 +224,6 @@ class EntryBuffer {
       const std::size_t items = cap_items == 0 ? 1 : cap_items;
       ref_ = util::PayloadPool::global().acquire(header_bytes_ +
                                                  items * sizeof(Entry));
-      ever_acquired_ = true;
     }
     assert(header_bytes_ + (std::size_t{count_} + n) * sizeof(Entry) <=
                ref_.capacity() &&
@@ -246,15 +240,10 @@ class EntryBuffer {
     return std::move(ref_);
   }
 
-  /// Reset occupancy but keep the slab (for paths that copy out instead of
-  /// shipping the buffer itself, e.g. WsP's counting sort).
-  void clear() noexcept { count_ = 0; }
-
  private:
   util::PayloadRef ref_;
   std::uint32_t count_ = 0;
   std::uint32_t header_bytes_ = 0;
-  bool ever_acquired_ = false;
 };
 
 }  // namespace tram::core

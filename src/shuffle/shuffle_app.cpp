@@ -59,14 +59,8 @@ ShuffleApp::ShuffleApp(rt::Machine& machine, const ShuffleParams& params)
   auto deliver = [this](rt::Worker& w, const Record& r) {
     this->deliver(w, r);
   };
-  if (core::is_routed(params_.tram.scheme)) {
-    routed_ = std::make_unique<route::RoutedDomain<Record>>(machine,
-                                                            params_.tram,
-                                                            deliver);
-  } else {
-    direct_ = std::make_unique<core::TramDomain<Record>>(machine, params_.tram,
-                                                         deliver);
-  }
+  tram_ = std::make_unique<core::TramDomain<Record>>(machine, params_.tram,
+                                                    deliver);
   sinks_.resize(static_cast<std::size_t>(workers));
 }
 
@@ -116,16 +110,13 @@ std::string ShuffleApp::spill_path(WorkerId w, int pass) const {
 ShuffleResult ShuffleApp::run(std::uint64_t seed) {
   for (auto& s : sinks_) s = Sink{};  // drop prior buffers before re-arming
   pool_.reset_stats();
-  if (direct_) direct_->reset_stats();
-  if (routed_) routed_->reset_stats();
+  tram_->reset_stats();
 
   const auto workers = static_cast<std::uint64_t>(machine_.topology().workers());
   const std::uint64_t total = records_total_;
-  const bool routed = routed_ != nullptr;
   const auto result = machine_.run(
-      [this, total, workers, routed](rt::Worker& w) {
-        auto* direct = direct_ ? &direct_->on(w) : nullptr;
-        auto* mesh = routed_ ? &routed_->on(w) : nullptr;
+      [this, total, workers](rt::Worker& w) {
+        auto& h = tram_->on(w);
         const auto id = static_cast<std::uint64_t>(w.id());
         const std::uint64_t begin = total * id / workers;
         const std::uint64_t end = total * (id + 1) / workers;
@@ -139,31 +130,21 @@ ShuffleResult ShuffleApp::run(std::uint64_t seed) {
               reinterpret_cast<const Record*>(chunk.data());
           const std::size_t n = chunk.size() / sizeof(Record);
           for (std::size_t j = 0; j < n; ++j) {
-            const auto dest = partitioner_.owner(recs[j].key);
-            if (routed) {
-              mesh->insert(dest, recs[j]);
-            } else {
-              direct->insert(dest, recs[j]);
-            }
+            h.insert(partitioner_.owner(recs[j].key), recs[j]);
             if (params_.progress_interval != 0 &&
                 ++i % params_.progress_interval == 0) {
               w.progress();
             }
           }
         }
-        if (routed) {
-          mesh->flush_all();
-        } else {
-          direct->flush_all();
-        }
+        h.flush_all();
       },
       seed);
 
   ShuffleResult res;
   res.run = result;
-  res.tram = direct_ ? direct_->aggregate_stats() : routed_->aggregate_stats();
-  res.max_reserved_buffers = direct_ ? direct_->max_reserved_buffers()
-                                     : routed_->max_reserved_buffers();
+  res.tram = tram_->aggregate_stats();
+  res.max_reserved_buffers = tram_->max_reserved_buffers();
   res.records_in = total;
   res.budget_bytes = params_.mem_budget_bytes;
 

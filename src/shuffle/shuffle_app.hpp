@@ -11,7 +11,7 @@
 ///   input file (mmap, chunked)                    sources
 ///        │ insert(owner(key), record)
 ///        ▼
-///   TramDomain / RoutedDomain (key-range partitioned)
+///   TramDomain (key-range partitioned)
 ///        │ deliver on owner worker
 ///        ▼
 ///   staging slice (budgeted PayloadPool)          sinks
@@ -44,7 +44,6 @@
 #include "core/tram.hpp"
 #include "io/mapped_file.hpp"
 #include "io/spill_file.hpp"
-#include "route/routed_domain.hpp"
 #include "runtime/machine.hpp"
 #include "shuffle/partitioner.hpp"
 #include "shuffle/record.hpp"
@@ -128,9 +127,7 @@ class ShuffleApp {
   std::uint64_t slice_bytes_ = 0;
   std::size_t slice_records_ = 0;
   std::vector<Sink> sinks_;
-  /// Exactly one of the two is constructed, per params.tram.scheme.
-  std::unique_ptr<core::TramDomain<Record>> direct_;
-  std::unique_ptr<route::RoutedDomain<Record>> routed_;
+  std::unique_ptr<core::TramDomain<Record>> tram_;
 };
 
 /// Fill `path` with `records` pseudo-random records (splitmix64 keys,

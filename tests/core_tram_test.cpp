@@ -8,6 +8,7 @@
 
 #include "core/tram.hpp"
 #include "runtime/machine.hpp"
+#include "util/rng.hpp"
 #include "util/spinlock.hpp"
 
 namespace {
@@ -252,6 +253,109 @@ TEST_P(TramSchemes, SelfSendDelivers) {
   });
   EXPECT_EQ(delivered.load(),
             static_cast<std::uint64_t>(machine.topology().workers()) * 100);
+}
+
+/// Exact counters for a seeded stream with idle flushing off and one
+/// explicit flush: every number below follows from the stream alone.
+/// Each (source, destination process) run cycles through the destination
+/// ranks, and its partial tail is either empty or holds at least one item
+/// per rank, so every process-addressed message spans all t ranks and
+/// regroups into exactly t - 1 local sends, whichever worker handles it.
+TEST_P(TramSchemes, ExactCountersForSeededStream) {
+  const Param p = GetParam();
+  Machine machine(Topology(p.nodes, p.ppn, p.wpp),
+                  RuntimeConfig::inline_testing());
+  const auto& topo = machine.topology();
+  const int W = topo.workers();
+  const int P = topo.procs();
+  const int t = topo.workers_per_proc();
+  if (P < 2 || t < 2) GTEST_SKIP() << "needs an SMP shape of >= 2 x >= 2";
+  const std::uint64_t g = p.buffer;
+  if (core::process_addressed(p.scheme) && g < static_cast<std::uint64_t>(t)) {
+    GTEST_SKIP() << "a message of fewer than t items regroups by handler";
+  }
+
+  // The stream: per source, a seeded item count toward every process,
+  // interleaved across processes in seeded order.
+  std::vector<std::vector<WorkerId>> stream(static_cast<std::size_t>(W));
+  std::vector<std::vector<std::uint64_t>> to_worker(
+      static_cast<std::size_t>(W), std::vector<std::uint64_t>(W, 0));
+  std::vector<std::vector<std::uint64_t>> to_proc(
+      static_cast<std::size_t>(W), std::vector<std::uint64_t>(P, 0));
+  for (WorkerId s = 0; s < W; ++s) {
+    util::Xoshiro256 rng(0x5eedULL + static_cast<std::uint64_t>(s));
+    auto& counts = to_proc[static_cast<std::size_t>(s)];
+    for (auto& c : counts) {
+      c = rng.below(200);
+      const std::uint64_t tail = c % g;
+      if (tail != 0 && tail < static_cast<std::uint64_t>(t)) c += t - tail;
+    }
+    std::vector<std::uint64_t> sent(static_cast<std::size_t>(P), 0);
+    std::uint64_t left = 0;
+    for (const auto c : counts) left += c;
+    for (; left > 0; --left) {
+      ProcId dp;
+      do {
+        dp = static_cast<ProcId>(rng.below(static_cast<std::uint64_t>(P)));
+      } while (sent[static_cast<std::size_t>(dp)] ==
+               counts[static_cast<std::size_t>(dp)]);
+      const auto k = sent[static_cast<std::size_t>(dp)]++;
+      const WorkerId dest = topo.worker_at(
+          dp, static_cast<int>(k % static_cast<std::uint64_t>(t)));
+      stream[static_cast<std::size_t>(s)].push_back(dest);
+      ++to_worker[static_cast<std::size_t>(s)][static_cast<std::size_t>(dest)];
+    }
+  }
+
+  // Expected counters: one message per g-item fill or nonempty tail of
+  // each source buffer (per worker for WW, per process for WPs/WsP).
+  std::uint64_t total = 0, msgs = 0, flush = 0, reserved = 0;
+  for (WorkerId s = 0; s < W; ++s) {
+    total += stream[static_cast<std::size_t>(s)].size();
+    const auto& per_dest = p.scheme == Scheme::WW
+                               ? to_worker[static_cast<std::size_t>(s)]
+                               : to_proc[static_cast<std::size_t>(s)];
+    std::uint64_t touched = 0;
+    for (const auto c : per_dest) {
+      msgs += (c + g - 1) / g;
+      flush += c % g != 0 ? 1 : 0;
+      touched += c != 0 ? 1 : 0;
+    }
+    if (touched > reserved) reserved = touched;
+  }
+  const bool by_proc = p.scheme == Scheme::WPs || p.scheme == Scheme::WsP;
+  std::uint64_t expect_msgs = msgs, expect_flush = flush;
+  std::uint64_t expect_regroup = by_proc ? msgs * (t - 1) : 0;
+  if (p.scheme == Scheme::None) {
+    expect_msgs = total;
+    expect_flush = 0;
+    reserved = 0;
+  }
+
+  TramConfig cfg;
+  cfg.scheme = p.scheme;
+  cfg.buffer_items = p.buffer;
+  cfg.flush_on_idle = false;
+  TramDomain<std::uint64_t> tram(machine, cfg,
+                                 [](Worker&, const std::uint64_t&) {});
+  machine.run([&](Worker& w) {
+    auto& h = tram.on(w);
+    for (const WorkerId dest : stream[static_cast<std::size_t>(w.id())]) {
+      h.insert(dest, 1);
+    }
+    h.flush_all();
+  });
+
+  const auto stats = tram.aggregate_stats();
+  EXPECT_EQ(stats.items_delivered, total);
+  // PP's shared buffers seal at thread-interleaving-dependent points.
+  if (p.scheme == Scheme::PP) return;
+  EXPECT_EQ(stats.msgs_shipped, expect_msgs);
+  EXPECT_EQ(stats.flush_msgs, expect_flush);
+  EXPECT_EQ(stats.regroup_msgs, expect_regroup);
+  EXPECT_EQ(tram.max_reserved_buffers(), reserved);
+  EXPECT_EQ(stats.occupancy_at_ship.count(), expect_msgs);
+  EXPECT_NEAR(stats.occupancy_at_ship.sum(), static_cast<double>(total), 0.5);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -373,25 +373,11 @@ TEST(RoutedDomain, RejectsUnsupportedConfigKnobs) {
   cfg.flush_on_idle = false;
   EXPECT_THROW(route::RoutedDomain<std::uint64_t>(machine, cfg, nop),
                std::invalid_argument);
-  cfg.flush_on_idle = true;
-  cfg.flush_timeout_ns = 1'000'000;
-  EXPECT_THROW(route::RoutedDomain<std::uint64_t>(machine, cfg, nop),
-               std::invalid_argument);
   // The priority knob is implemented for routed schemes (see
   // route_priority_test.cpp); it must construct cleanly.
-  cfg.flush_timeout_ns = 0;
+  cfg.flush_on_idle = true;
   cfg.priority_buffer_items = 8;
   EXPECT_NO_THROW(route::RoutedDomain<std::uint64_t>(machine, cfg, nop));
-}
-
-TEST(TramDomain, RejectsRoutedSchemes) {
-  rt::Machine machine(util::Topology(2, 1, 1),
-                      rt::RuntimeConfig::inline_testing());
-  core::TramConfig cfg;
-  cfg.scheme = core::Scheme::Mesh2D;
-  EXPECT_THROW(core::TramDomain<std::uint64_t>(machine, cfg,
-                                               [](rt::Worker&, auto&) {}),
-               std::invalid_argument);
 }
 
 /// Forwarded-hop accounting: on a mesh, an item whose destination differs
