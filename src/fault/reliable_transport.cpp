@@ -152,6 +152,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   ReliableHeader h;
   h.kind = ReliableHeader::kData;
   h.src_proc = static_cast<std::uint16_t>(src_proc);
+  std::size_t ooo_at_stamp = 0;
   {
     // Piggyback: what this process has cumulatively received on the
     // reverse channel, plus the out-of-order bitmap. The owed standalone
@@ -161,6 +162,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
     std::lock_guard<util::Spinlock> g(rev.mu);
     h.ack = rev.cum;
     if (sack_) h.sack = build_sack_bitmap(rev.cum, rev.ooo);
+    ooo_at_stamp = rev.ooo.size();
   }
 
   // Frame into a fresh slab: header + payload bytes. The one copy this
@@ -229,11 +231,14 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   }
   fetch_max(max_inflight_msgs_, inflight_now);
   {
-    // This transmit carries the reverse channel's current ack — cancel
-    // the standalone one it owed.
+    // This transmit carries the reverse channel's ack — cancel the
+    // standalone one it owed, unless data arrived since the stamp above.
+    // Under the inline transport that arrival runs on the peer's thread
+    // and does not re-arm an ack already owed, so cancelling would leave
+    // it unacked until the retransmit timer fires.
     Channel& rev = ch(dst, src_proc);
     std::lock_guard<util::Spinlock> g(rev.mu);
-    if (rev.owes_ack) {
+    if (rev.owes_ack && rev.cum == h.ack && rev.ooo.size() == ooo_at_stamp) {
       rev.owes_ack = false;
       rev.ack_deadline_ns = 0;
       owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);

@@ -47,7 +47,9 @@ struct RuntimeConfig {
 
   /// SMP mode: one dedicated comm thread per process (Charm++ SMP build).
   /// When false, every worker drives its own communication (non-SMP /
-  /// MPI-everywhere); requires workers_per_proc == 1.
+  /// MPI-everywhere): it sends inline and polls the transport on every
+  /// Worker::progress() call, like a non-SMP Charm++ PE's scheduler pass.
+  /// Requires workers_per_proc == 1.
   bool dedicated_comm = true;
 
   /// Capacity of each worker -> comm-thread egress ring.

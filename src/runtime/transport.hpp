@@ -21,9 +21,12 @@
 ///    template for future real backends (shared-memory rings, RDMA): a
 ///    backend only has to implement this interface.
 ///
-/// Callers: the comm thread (SMP mode) or the worker itself (non-SMP).
-/// send() and poll() for a given process are only invoked from that
-/// process's pumping thread; counters/in_flight are read from anywhere.
+/// Callers: the comm thread (SMP mode), or in non-SMP mode the process's
+/// one worker, which sends inline and polls at the top of every
+/// Worker::progress() call (its scheduler loop and any application loop
+/// that calls progress()). send() and poll() for a given process are only
+/// invoked from that process's pumping thread; counters/in_flight are read
+/// from anywhere.
 
 #include <atomic>
 #include <cstdint>

@@ -96,7 +96,13 @@ std::size_t Worker::progress() {
                  id_);
     std::abort();
   }
-  const std::uint32_t batch = machine_.config().progress_batch;
+  // Non-SMP: this worker is its process's only communicator, so every
+  // progress() pass advances the transport before draining the inboxes —
+  // fabric ingress, fault-layer releases, and reliability acks, timers and
+  // pacing. SMP leaves polling to the comm thread.
+  const RuntimeConfig& cfg = machine_.config();
+  if (!cfg.dedicated_comm) machine_.transport().poll(proc_);
+  const std::uint32_t batch = cfg.progress_batch;
   // Span timestamp only when a batch is plausibly non-empty: idle workers
   // spin through here, and an unconditional clock read per spin is the
   // kind of traced-run overhead the fig_routed_histogram A/B row bounds.
@@ -129,16 +135,10 @@ void Worker::run_idle_hooks() {
   for (auto& hook : idle_hooks_) hook(*this);
 }
 
-void Worker::pump_comm_inline() {
-  // Non-SMP: single worker per process pumps its own communication.
-  machine_.transport().poll(proc_);
-}
-
 void Worker::scheduler_loop() {
   const auto& cfg = machine_.config();
   std::uint32_t idle_round = 0;
   while (!machine_.stopping()) {
-    if (!cfg.dedicated_comm) pump_comm_inline();
     const std::size_t n = progress();
     if (n > 0) {
       idle_round = 0;

@@ -58,7 +58,11 @@ class Worker {
 
   /// Handle up to config.progress_batch pending messages. Returns the
   /// number handled. Call from compute loops that also generate messages so
-  /// that receives interleave with sends (message-driven execution).
+  /// that receives interleave with sends (message-driven execution). In
+  /// non-SMP mode this is also where the worker pumps its process's
+  /// transport: each call first polls it (inbound delivery, forwarding,
+  /// reliability acks and retransmits), so a source loop that calls
+  /// progress() keeps its peers' traffic moving while it inserts.
   std::size_t progress();
 
   /// Scheduler loop: handle messages until the machine signals stop,
@@ -110,8 +114,6 @@ class Worker {
   void dispatch(Message&& m);
   /// Run idle hooks once; returns true if any work might have been created.
   void run_idle_hooks();
-  /// Non-SMP mode: pump this process's communication from the worker.
-  void pump_comm_inline();
 
   Machine& machine_;
   Process& proc_;
