@@ -32,11 +32,6 @@ struct TramConfig {
   /// drain path.
   bool flush_on_idle = true;
 
-  /// Stamp every item with its insert time and record delivery latency at
-  /// the destination (the paper's latency metric). Adds 8 bytes per item on
-  /// the wire, so benchmarks measuring pure overhead leave it off.
-  bool latency_tracking = false;
-
   /// Ship TramLib messages as expedited (Charm++ expedited entry methods:
   /// delivered ahead of ordinary traffic — section III-B, basic
   /// optimizations).

@@ -23,6 +23,12 @@
 /// when full; flushed messages are resized to their actual occupancy; idle
 /// workers flush automatically when flush_on_idle is set.
 ///
+/// The paper's latency metric is opt-in by type: TramDomain<Update, true>
+/// stamps every entry with its insert time and records insert -> delivery
+/// latency in WorkerTramStats::latency. The default instantiation ships
+/// bare {dest, item} entries and compiles the stamp out of the insert and
+/// delivery paths.
+///
 /// One engine serves every scheme. A worker's Handle aggregates into
 /// *slots*, and a scheme is a preset of the slot layout, derived from
 /// cfg.scheme, cfg.route_dims and the topology:
@@ -138,11 +144,11 @@ namespace tram::core {
 /// then hand one domain the other's buffers under the wrong type.
 inline std::atomic<std::uint64_t> tram_pp_domain_seq{0};
 
-template <typename Item>
+template <typename Item, bool kTrackLatency = false>
   requires std::is_trivially_copyable_v<Item>
 class TramDomain {
  public:
-  using Entry = WireEntry<Item>;
+  using Entry = WireEntry<Item, kTrackLatency>;
   /// Runs on the destination worker's thread for every delivered item.
   using DeliverFn = std::function<void(rt::Worker&, const Item&)>;
 
@@ -511,11 +517,9 @@ class TramDomain {
       return pri ? pri_ : bulk_;
     }
 
-    Entry make_entry(WorkerId dest, const Item& item) const {
-      Entry e;
-      e.birth_ns = domain_->cfg_.latency_tracking ? util::now_ns() : 0;
-      e.dest = dest;
-      e.item = item;
+    static Entry make_entry(WorkerId dest, const Item& item) {
+      Entry e{.dest = dest, .item = item};
+      if constexpr (kTrackLatency) e.birth.ns = util::now_ns();
       return e;
     }
 
@@ -582,7 +586,7 @@ class TramDomain {
       note_slot_used(s, pri);
       buf.push(e, cap);
       if (hop > set.hop[s]) set.hop[s] = hop;
-      pending_.fetch_add(1, std::memory_order_release);
+      add_pending(1);
       if (buf.size() + set.staged[s] >= cap) {
         ship_slot(slot, /*from_flush=*/false, pri);
       }
@@ -654,7 +658,7 @@ class TramDomain {
       auto& buf = set.bufs[s];
       auto& staged = set.staged[s];
       note_slot_used(s, pri);
-      pending_.fetch_add(n, std::memory_order_release);
+      add_pending(n);
       // Stage at most cap entries per pending run, shipping on every
       // fill. An inbound extent usually fits one fill, but the
       // reliability layer flattens a multi-extent ship into one framed
@@ -701,7 +705,7 @@ class TramDomain {
       SlotSet& set = slots(pri);
       auto& buf = set.bufs[s];
       note_slot_used(s, pri);
-      pending_.fetch_add(n, std::memory_order_release);
+      add_pending(n);
       while (n > 0) {
         const std::uint32_t room = cap - buf.size();
         const std::uint32_t k = n < room ? n : room;
@@ -799,7 +803,18 @@ class TramDomain {
                          (sorted ? 1u << 18 : 0) |
                          (static_cast<std::uint32_t>(hop) << 24));
       send_slot(slot, std::move(m));
-      pending_.fetch_sub(n, std::memory_order_release);
+      sub_pending(n);
+    }
+
+    /// pending_ has one writer (see its declaration), so an update is a
+    /// plain load and release store, not a locked read-modify-write.
+    void add_pending(std::uint64_t n) noexcept {
+      pending_.store(pending_.load(std::memory_order_relaxed) + n,
+                     std::memory_order_release);
+    }
+    void sub_pending(std::uint64_t n) noexcept {
+      pending_.store(pending_.load(std::memory_order_relaxed) - n,
+                     std::memory_order_release);
     }
 
     void account_ship(std::size_t n, bool from_flush, bool pri) {
@@ -1088,13 +1103,11 @@ class TramDomain {
 
       // Per-slot bookkeeping hoisted out of the per-entry loop: sticky
       // buffer accounting, the forwarded-items stat, and the pending_
-      // credit (one bulk add instead of an atomic per entry; ship_slot
+      // credit (one bulk add instead of one per entry; ship_slot
       // debits as slots drain during the scatter).
       const std::uint64_t fwd_mixed =
           std::uint64_t{mixed_total} - finals_total;
-      if (fwd_mixed != 0) {
-        pending_.fetch_add(fwd_mixed, std::memory_order_release);
-      }
+      if (fwd_mixed != 0) add_pending(fwd_mixed);
       for (std::size_t b = static_cast<std::size_t>(wpp_); b < nbuckets;
            ++b) {
         if (bucket_counts_[b] == 0) continue;
@@ -1149,7 +1162,6 @@ class TramDomain {
     /// Final-hop delivery on the destination worker.
     void deliver_batch(rt::Worker& w, std::span<const Entry> entries) {
       auto& d = *domain_;
-      const bool track = d.cfg_.latency_tracking;
       for (const Entry& e : entries) {
         if (e.dest != w.id()) {
           std::fprintf(stderr,
@@ -1159,8 +1171,8 @@ class TramDomain {
                        d.mesh().to_string().c_str());
           std::abort();
         }
-        if (track && e.birth_ns != 0) {
-          stats_.latency.add(util::now_ns() - e.birth_ns);
+        if constexpr (kTrackLatency) {
+          stats_.latency.add(util::now_ns() - e.birth.ns);
         }
         ++stats_.items_delivered;
         d.deliver_(w, e.item);
@@ -1207,6 +1219,12 @@ class TramDomain {
     std::vector<std::uint32_t> bucket_counts_;
     std::vector<std::uint32_t> bucket_starts_;
     std::vector<std::uint32_t> bucket_cursor_;
+    /// Items buffered or staged at this worker, read by quiescence
+    /// detection (acquire) from other threads. Single writer: only the
+    /// owning worker's thread changes it — inserts, flushes and the
+    /// handlers that re-bucket inbound batches all run there — so writes
+    /// are load/store pairs (add_pending/sub_pending), never RMWs. PP's
+    /// process-shared PpState::pending has many writers and stays an RMW.
     std::atomic<std::uint64_t> pending_{0};
     WorkerTramStats stats_;
     std::uint64_t reserved_buffers_ = 0;

@@ -83,7 +83,8 @@ struct WorkerTramStats {
   std::uint64_t max_staged_fwd_bytes = 0;
   /// Items per shipped message, observed at ship time.
   util::RunningStats occupancy_at_ship;
-  /// Item latency (insert -> delivery), when latency_tracking is on.
+  /// Item latency (insert -> delivery). Recorded only by latency-tracking
+  /// domains, TramDomain<Item, true>; empty for the default instantiation.
   util::LatencyHistogram latency;
 
   void merge(const WorkerTramStats& o) {

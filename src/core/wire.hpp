@@ -7,8 +7,11 @@
 /// Every scheme ships arrays of WireEntry<Item>. The paper's per-process
 /// schemes must carry the destination worker alongside the item
 /// ("<item, dest_w>" in Figs. 5-7); we carry it uniformly (WW pays 4 unused
-/// bytes, far below alpha-equivalent cost) plus an optional birth timestamp
-/// for the latency metric. Item must be trivially copyable.
+/// bytes, far below alpha-equivalent cost). An entry is exactly
+/// {dest, item}: 12 bytes for an 8-byte item of alignment 4, 16 for a
+/// std::uint64_t. Only a latency-tracking domain (TramDomain<Item, true>)
+/// adds an 8-byte insert timestamp per entry; everywhere else the stamp is
+/// an empty member that occupies no bytes. Item must be trivially copyable.
 ///
 /// EntryBuffer is the source-side aggregation buffer: entries are written
 /// in place into a pooled payload slab (util::PayloadPool), so a full
@@ -53,14 +56,25 @@
 
 namespace tram::core {
 
-template <typename Item>
+/// An entry's insert timestamp: nanoseconds in a latency-tracking entry,
+/// an empty type (zero bytes under [[no_unique_address]]) otherwise.
+template <bool kTrackLatency>
+struct InsertStamp {};
+template <>
+struct InsertStamp<true> {
+  std::uint64_t ns = 0;
+};
+
+/// One aggregated item: {dest, item}, plus the insert timestamp only when
+/// kTrackLatency is set (TramDomain<Item, true>). Initialize by designator
+/// ({.dest = d, .item = x}) so a layout change cannot rebind fields.
+template <typename Item, bool kTrackLatency = false>
   requires std::is_trivially_copyable_v<Item>
 struct WireEntry {
-  /// Insert timestamp (ns) when latency tracking is on; 0 otherwise.
-  std::uint64_t birth_ns = 0;
   /// Global id of the destination worker.
   WorkerId dest = kInvalidWorker;
   Item item{};
+  [[no_unique_address]] InsertStamp<kTrackLatency> birth{};
 };
 
 /// Fixed-size prefix of a WsP message: entry counts per destination local
@@ -73,8 +87,8 @@ struct SegmentHeader {
 };
 
 /// Fixed-size prefix of every routed (mesh) message. sizeof must stay a
-/// multiple of alignof(WireEntry) (8) so the entries that follow decode
-/// aligned in place.
+/// multiple of 8, and so of alignof(WireEntry) for any item aligned to at
+/// most 8, so the entries that follow decode aligned in place.
 struct RoutedHeader {
   /// Guards against wire corruption (a payload that is not a mesh ship).
   /// kSortedMagic additionally marks the payload pre-sorted by
@@ -107,8 +121,8 @@ static_assert(sizeof(RoutedHeader) == 8);
 
 /// Prefix of a sorted (last-hop) routed message when the receiving process
 /// has more than one worker: the per-rank counts the scatter walks. Both
-/// header sizes are multiples of alignof(WireEntry) (8), so the entries
-/// decode aligned in place either way.
+/// header sizes are multiples of 8, and so of alignof(WireEntry), so the
+/// entries decode aligned in place either way.
 struct RoutedSortedHeader {
   RoutedHeader base;  ///< base.magic == RoutedHeader::kSortedMagic
   SegmentHeader segments;

@@ -11,8 +11,9 @@
 /// same slab) before the message reaches its endpoint — the layers above
 /// never see the frame.
 ///
-/// Twenty-four bytes, a multiple of alignof(WireEntry) (8), so routed/WsP
-/// entries behind the stripped header still decode aligned in place.
+/// Twenty-four bytes, a multiple of 8 and so of alignof(WireEntry), so
+/// routed/WsP entries behind the stripped header still decode aligned in
+/// place.
 
 #include <cstdint>
 #include <cstdio>

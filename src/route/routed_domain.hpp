@@ -13,11 +13,11 @@
 
 namespace tram::route {
 
-template <typename Item>
+template <typename Item, bool kTrackLatency = false>
   requires std::is_trivially_copyable_v<Item>
-class RoutedDomain : public core::TramDomain<Item> {
+class RoutedDomain : public core::TramDomain<Item, kTrackLatency> {
  public:
-  using core::TramDomain<Item>::TramDomain;
+  using core::TramDomain<Item, kTrackLatency>::TramDomain;
 };
 
 }  // namespace tram::route

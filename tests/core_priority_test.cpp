@@ -105,10 +105,9 @@ TEST(Priority, UrgentItemsSeeLowerLatencyThanBulk) {
     TramConfig tc;
     tc.scheme = Scheme::WPs;
     tc.buffer_items = 4096;  // bulk path: slow to fill
-    tc.latency_tracking = true;
     tc.priority_buffer_items = priority ? 4 : 0;
-    TramDomain<std::uint64_t> tram(m, tc,
-                                   [](Worker&, const std::uint64_t&) {});
+    TramDomain<std::uint64_t, true> tram(
+        m, tc, [](Worker&, const std::uint64_t&) {});
     m.run([&](Worker& w) {
       auto& h = tram.on(w);
       for (int i = 0; i < 3000; ++i) {

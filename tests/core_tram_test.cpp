@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/tram.hpp"
+#include "net/packet.hpp"
 #include "runtime/machine.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
@@ -150,9 +151,8 @@ TEST_P(TramSchemes, LatencyTrackingRecordsEveryItem) {
   TramConfig cfg;
   cfg.scheme = p.scheme;
   cfg.buffer_items = p.buffer;
-  cfg.latency_tracking = true;
-  TramDomain<std::uint64_t> tram(machine, cfg,
-                                 [](Worker&, const std::uint64_t&) {});
+  TramDomain<std::uint64_t, true> tram(machine, cfg,
+                                       [](Worker&, const std::uint64_t&) {});
   constexpr std::uint32_t kPerWorker = 500;
   machine.run([&](Worker& w) {
     auto& h = tram.on(w);
@@ -478,6 +478,54 @@ TEST(TramDomain, RejectsTooManyWorkersPerProc) {
       (TramDomain<std::uint64_t>(wide, cfg,
                                  [](Worker&, const std::uint64_t&) {})),
       std::invalid_argument);
+}
+
+/// An item of two 4-byte words: the shape of a histogram update.
+struct U32Pair {
+  std::uint32_t a, b;
+};
+
+// Entries carry {dest, item} and pay for the insert stamp only in the
+// latency-tracking instantiation.
+static_assert(sizeof(core::WireEntry<std::uint64_t>) == 16);
+static_assert(sizeof(core::WireEntry<std::uint64_t, true>) == 24);
+static_assert(sizeof(core::WireEntry<U32Pair>) == 12);
+
+/// Fabric bytes of one WPs stream of k items from worker 0 to worker 1 of
+/// a two-process machine, shipped in g-item messages plus one flush.
+template <typename Item, bool kTrack>
+std::uint64_t one_stream_fabric_bytes(std::uint64_t k, std::uint32_t g) {
+  Machine machine(Topology(2, 1, 1), RuntimeConfig::inline_testing());
+  TramConfig cfg;
+  cfg.scheme = Scheme::WPs;
+  cfg.buffer_items = g;
+  cfg.flush_on_idle = false;
+  std::atomic<std::uint64_t> delivered{0};
+  TramDomain<Item, kTrack> tram(machine, cfg,
+                                [&](Worker&, const Item&) { delivered++; });
+  const auto res = machine.run([&](Worker& w) {
+    if (w.id() != 0) return;
+    auto& h = tram.on(w);
+    for (std::uint64_t i = 0; i < k; ++i) h.insert(1, Item{});
+    h.flush_all();
+  });
+  EXPECT_EQ(delivered.load(), k);
+  EXPECT_EQ(res.fabric_messages, (k + g - 1) / g);
+  return res.fabric_bytes;
+}
+
+/// Exact wire bytes: one packet header per message plus sizeof(Entry) per
+/// item, so an untracked entry ships no stamp.
+TEST(TramDomain, FabricBytesAreHeadersPlusEntries) {
+  constexpr std::uint64_t k = 1000;
+  constexpr std::uint32_t g = 64;
+  const std::uint64_t headers = (k + g - 1) / g * net::Packet::kHeaderBytes;
+  EXPECT_EQ((one_stream_fabric_bytes<std::uint64_t, false>(k, g)),
+            headers + k * sizeof(core::WireEntry<std::uint64_t>));
+  EXPECT_EQ((one_stream_fabric_bytes<std::uint64_t, true>(k, g)),
+            headers + k * sizeof(core::WireEntry<std::uint64_t, true>));
+  EXPECT_EQ((one_stream_fabric_bytes<U32Pair, false>(k, g)),
+            headers + k * sizeof(core::WireEntry<U32Pair>));
 }
 
 TEST(TramDomain, ResetStatsClearsCounters) {

@@ -481,9 +481,8 @@ TEST(RoutedDomain, LatencyTracksAcrossHops) {
   core::TramConfig cfg;
   cfg.scheme = core::Scheme::Mesh2D;  // 3x3
   cfg.buffer_items = 4;
-  cfg.latency_tracking = true;
-  route::RoutedDomain<std::uint64_t> domain(machine, cfg,
-                                            [](rt::Worker&, auto&) {});
+  route::RoutedDomain<std::uint64_t, true> domain(machine, cfg,
+                                                  [](rt::Worker&, auto&) {});
   machine.run([&](rt::Worker& self) {
     if (self.id() == 0) {
       // Destination 8 differs from 0 in both mesh dimensions: 2 hops.
