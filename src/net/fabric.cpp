@@ -95,16 +95,16 @@ std::uint64_t Fabric::send(Packet&& p) {
   if (same_node) {
     src_ctr.local_messages_sent.fetch_add(1, std::memory_order_relaxed);
   }
-  total_pushed_.fetch_add(1, std::memory_order_relaxed);
 
   ingress_[p.dst_proc]->queue.push(std::move(p));
   return arrival;
 }
 
 void Fabric::note_received(ProcId dst, const Packet&) {
+  // Release: a reader that sees this receipt (acquire, in_flight()) also
+  // sees the matching send's count, which the ingress queue published.
   counters_[dst]->value.messages_received.fetch_add(
-      1, std::memory_order_relaxed);
-  total_popped_.fetch_add(1, std::memory_order_relaxed);
+      1, std::memory_order_release);
 }
 
 std::uint64_t Fabric::total_messages_sent() const {
@@ -124,12 +124,21 @@ std::uint64_t Fabric::total_bytes_sent() const {
 }
 
 std::uint64_t Fabric::in_flight() const {
-  // Read popped before pushed: if a push lands between the two loads we may
-  // report a phantom in-flight packet (safe: quiescence just retries), but
-  // never miss a real one.
-  const std::uint64_t popped = total_popped_.load(std::memory_order_acquire);
-  const std::uint64_t pushed = total_pushed_.load(std::memory_order_acquire);
-  return pushed - popped;
+  // Read every received counter before any sent counter. A receipt read
+  // here (acquire) happens after its packet's send was counted, so the
+  // sent reads that follow include it: the received sum never exceeds the
+  // sent sum, and a send that lands between the two passes shows up as a
+  // phantom in-flight packet (safe: quiescence just retries) — a real one
+  // is never missed.
+  std::uint64_t received = 0;
+  for (const auto& c : counters_) {
+    received += c->value.messages_received.load(std::memory_order_acquire);
+  }
+  std::uint64_t sent = 0;
+  for (const auto& c : counters_) {
+    sent += c->value.messages_sent.load(std::memory_order_relaxed);
+  }
+  return sent - received;
 }
 
 void Fabric::reset() {

@@ -36,8 +36,12 @@
 
 namespace tram::net {
 
-/// Per-process fabric counters. Written by the owning comm thread / readers
-/// after quiescence; relaxed atomics suffice.
+/// Per-process fabric counters, each on its process's padded line: sent
+/// counters are written by whichever thread sends for that process
+/// (normally its pumping thread), received by the receiving process's
+/// pumping thread, so the message path writes no machine-wide line. Reporting reads them after quiescence; quiescence detection reads
+/// them live through Fabric::in_flight(), which is why messages_received
+/// is incremented with release (see in_flight()). The rest stay relaxed.
 struct FabricCounters {
   std::atomic<std::uint64_t> messages_sent{0};
   std::atomic<std::uint64_t> bytes_sent{0};
@@ -76,12 +80,14 @@ class Fabric {
   std::uint64_t max_link_queue_ns() const noexcept {
     return link_queue_ns_max_.load(std::memory_order_relaxed);
   }
-  /// Messages handed to the fabric but not yet popped by a receiver.
+  /// Messages handed to the fabric but not yet acknowledged by a receiver
+  /// (note_received): the sum over processes of sent minus received.
   /// Used by quiescence detection: the system cannot be quiescent while
   /// packets are in flight.
   std::uint64_t in_flight() const;
 
-  /// Reset all counters and injection clocks (between benchmark trials).
+  /// Reset all counters and injection clocks (between benchmark trials;
+  /// nothing may be in flight, or in_flight() loses track of it).
   void reset();
 
  private:
@@ -101,12 +107,8 @@ class Fabric {
       link_busy_until_;
   std::vector<std::unique_ptr<IngressSlot>> ingress_;
   std::vector<std::unique_ptr<util::Padded<FabricCounters>>> counters_;
-  std::atomic<std::uint64_t> total_pushed_{0};
-  std::atomic<std::uint64_t> total_popped_{0};
   std::atomic<std::uint64_t> link_busy_ns_{0};
   std::atomic<std::uint64_t> link_queue_ns_max_{0};
-
-  friend class FabricReceipt;
 
  public:
   /// Receivers must call this after popping a packet from ingress() so

@@ -99,6 +99,22 @@ std::uint64_t Machine::total_pending() const {
   return total;
 }
 
+std::uint64_t Machine::total_sent() const {
+  std::uint64_t total = 0;
+  for (const auto& proc : procs_) {
+    for (const auto& w : proc->workers_) total += w->sent_count();
+  }
+  return total;
+}
+
+std::uint64_t Machine::total_handled() const {
+  std::uint64_t total = 0;
+  for (const auto& proc : procs_) {
+    for (const auto& w : proc->workers_) total += w->handled_count();
+  }
+  return total;
+}
+
 void Machine::clear_worker_hooks() {
   for (auto& proc : procs_) {
     for (auto& w : proc->workers_) w->clear_hooks();
@@ -108,10 +124,18 @@ void Machine::clear_worker_hooks() {
 
 void Machine::quiescence_wait(std::uint64_t& t_end_ns) {
   // Counting QD: mains done, every sent message handled, no buffered work.
-  // The (handled, sent) read order makes a single positive sample sound at
-  // the instant handled was read; the stability window guards the pending
-  // counters, which are application-maintained and may lag a flush by a few
-  // instructions.
+  // The counters are per worker, so a sample is a sum of reads made at
+  // different instants, not a snapshot. Every handled counter is read
+  // (acquire) before any sent counter, and that order makes a positive
+  // sample sound: a worker counts a handling only after the handler
+  // returned (release), and the message's send was counted before it was
+  // enqueued, so every message counted as handled was sent — and counted —
+  // before the sent reads begin. The handled sum therefore counts a subset
+  // of the messages the sent sum counts; when the sums are equal the sets
+  // are too, so nothing was in flight or inside a handler at the last
+  // handled read (a handler's own sends are counted before its handling).
+  // The stability window guards the pending counters, which are
+  // application-maintained and may lag a flush by a few instructions.
   const int total_workers = topo_.workers();
   std::uint64_t first_ok_ns = 0;
   std::uint64_t first_ok_sent = 0;
@@ -146,8 +170,6 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   running_ = true;
 
   stop_.store(false, std::memory_order_release);
-  sent_.store(0, std::memory_order_relaxed);
-  handled_.store(0, std::memory_order_relaxed);
   mains_done_.store(0, std::memory_order_relaxed);
   // A previous run must have drained completely: leftover messages would be
   // dispatched into the new run's state (and their payloads may alias
@@ -157,7 +179,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   }
   for (auto& proc : procs_) {
     for (auto& w : proc->workers_) {
-      if (!w->inbox_.empty_approx() || !w->expedited_inbox_.empty_approx()) {
+      if (!w->inbox_empty()) {
         throw std::logic_error("Machine::run: worker inbox not empty");
       }
     }
@@ -171,6 +193,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   for (auto& proc : procs_) {
     for (auto& w : proc->workers_) {
       w->reseed(seed);
+      w->sent_.store(0, std::memory_order_relaxed);
       w->handled_.store(0, std::memory_order_relaxed);
     }
   }
@@ -216,15 +239,13 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
     for (LocalWorkerId r = 0; r < topo_.workers_per_proc(); ++r) {
       Worker* w = &process(p).worker(r);
       threads.emplace_back([this, w, &main_fn] {
-        w->owner_thread_.store(
-            std::hash<std::thread::id>{}(std::this_thread::get_id()),
-            std::memory_order_relaxed);
+        w->bind_current_thread();
         trace::set_thread_name("worker " + std::to_string(w->id()));
         start_barrier_->arrive_and_wait();
         main_fn(*w);
         mains_done_.fetch_add(1, std::memory_order_acq_rel);
         w->scheduler_loop();
-        w->owner_thread_.store(0, std::memory_order_relaxed);
+        w->unbind_current_thread();
       });
     }
   }

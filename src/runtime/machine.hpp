@@ -35,6 +35,7 @@
 #include "runtime/endpoint.hpp"
 #include "runtime/process.hpp"
 #include "runtime/worker.hpp"
+#include "util/spinlock.hpp"
 #include "util/topology.hpp"
 
 namespace tram::core {
@@ -114,24 +115,17 @@ class Machine {
   void barrier();
 
   /// --- hooks used by runtime internals ---
-  void note_sent() noexcept {
-    sent_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void note_handled() noexcept {
-    handled_.fetch_add(1, std::memory_order_relaxed);
-  }
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
   }
 
   /// Sum of pending counters over all workers.
   std::uint64_t total_pending() const;
-  std::uint64_t total_sent() const noexcept {
-    return sent_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t total_handled() const noexcept {
-    return handled_.load(std::memory_order_relaxed);
-  }
+  /// Runtime messages sent / handled this run: sums of the workers'
+  /// single-writer counters (a live read is not a snapshot; see
+  /// quiescence_wait for the order that makes it sound).
+  std::uint64_t total_sent() const;
+  std::uint64_t total_handled() const;
 
   /// Remove all idle hooks and pending counters from every worker (between
   /// benchmark configurations that reuse the machine).
@@ -152,9 +146,12 @@ class Machine {
   EndpointRegistry endpoints_;
   std::vector<std::unique_ptr<Process>> procs_;
 
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> handled_{0};
+  /// Read by every scheduler iteration of every worker: a line's worth of
+  /// padding on each side keeps every written member off its line, without
+  /// over-aligning Machine (which applications embed in larger objects).
+  [[maybe_unused]] char stop_pad_front_[util::kCacheLine] = {};
   std::atomic<bool> stop_{false};
+  [[maybe_unused]] char stop_pad_back_[util::kCacheLine] = {};
   std::atomic<int> mains_done_{0};
   bool running_ = false;
 

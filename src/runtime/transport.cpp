@@ -50,7 +50,10 @@ void ModeledFabricTransport::send(ProcId src_proc, Message&& m) {
   util::spin_for_ns(
       static_cast<std::uint64_t>(cfg.comm_per_msg_send_ns + byte_cost));
 
-  if (m.hops > 0) forwarded_.fetch_add(1, std::memory_order_relaxed);
+  if (m.hops > 0) {
+    states_[static_cast<std::size_t>(src_proc)]->forwarded.fetch_add(
+        1, std::memory_order_relaxed);
+  }
 
   net::Packet p;
   p.src_proc = src_proc;
@@ -109,7 +112,7 @@ std::uint64_t ModeledFabricTransport::next_due_ns(ProcId p) const {
 
 std::uint64_t ModeledFabricTransport::in_flight() const {
   // Packets in the reorder heaps have not been note_received yet, so the
-  // fabric's pushed-minus-received count covers them too.
+  // fabric's sent-minus-received count covers them too.
   return fabric_.in_flight();
 }
 
@@ -122,28 +125,35 @@ std::uint64_t ModeledFabricTransport::total_bytes() const {
 }
 
 std::uint64_t ModeledFabricTransport::total_forwarded() const {
-  return forwarded_.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const auto& st : states_) {
+    total += st->forwarded.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 void ModeledFabricTransport::reset() {
-  forwarded_.store(0, std::memory_order_relaxed);
+  for (auto& st : states_) st->forwarded.store(0, std::memory_order_relaxed);
   fabric_.reset();
 }
 
 // ---- InlineTransport ----
 
-InlineTransport::InlineTransport(Machine& machine) : machine_(machine) {}
+InlineTransport::InlineTransport(Machine& machine)
+    : machine_(machine),
+      counters_(static_cast<std::size_t>(machine.topology().procs())) {}
 
-void InlineTransport::send(ProcId /*src_proc*/, Message&& m) {
+void InlineTransport::send(ProcId src_proc, Message&& m) {
   const ProcId dst = message_dst_proc(machine_, m);
   if (dst < 0 || dst >= machine_.topology().procs()) {
     throw std::out_of_range("InlineTransport::send: bad dst_proc");
   }
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  if (m.hops > 0) forwarded_.fetch_add(1, std::memory_order_relaxed);
+  Counters& c = counters_[static_cast<std::size_t>(src_proc)];
+  c.messages.fetch_add(1, std::memory_order_relaxed);
+  if (m.hops > 0) c.forwarded.fetch_add(1, std::memory_order_relaxed);
   // Charge the same fixed header as the fabric so byte counters compare.
-  bytes_.fetch_add(m.payload_bytes() + net::Packet::kHeaderBytes,
-                   std::memory_order_relaxed);
+  c.bytes.fetch_add(m.payload_bytes() + net::Packet::kHeaderBytes,
+                    std::memory_order_relaxed);
   Process& proc = machine_.process(dst);
   if (m.dst_worker == kInvalidWorker) {
     m.dst_worker = proc.pick_delivery_worker();
@@ -158,21 +168,35 @@ std::uint64_t InlineTransport::next_due_ns(ProcId) const { return 0; }
 std::uint64_t InlineTransport::in_flight() const { return 0; }
 
 std::uint64_t InlineTransport::total_messages() const {
-  return messages_.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const Counters& c : counters_) {
+    total += c.messages.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::uint64_t InlineTransport::total_bytes() const {
-  return bytes_.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const Counters& c : counters_) {
+    total += c.bytes.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::uint64_t InlineTransport::total_forwarded() const {
-  return forwarded_.load(std::memory_order_relaxed);
+  std::uint64_t total = 0;
+  for (const Counters& c : counters_) {
+    total += c.forwarded.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 void InlineTransport::reset() {
-  messages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-  forwarded_.store(0, std::memory_order_relaxed);
+  for (Counters& c : counters_) {
+    c.messages.store(0, std::memory_order_relaxed);
+    c.bytes.store(0, std::memory_order_relaxed);
+    c.forwarded.store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace tram::rt

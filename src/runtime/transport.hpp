@@ -36,6 +36,7 @@
 
 #include "net/packet.hpp"
 #include "runtime/message.hpp"
+#include "util/spinlock.hpp"
 #include "util/types.hpp"
 
 namespace tram::net {
@@ -120,17 +121,18 @@ class ModeledFabricTransport final : public Transport {
 
  private:
   /// Per-process reorder heap; only touched by that process's pumping
-  /// thread, so no locking. unique_ptr keeps neighbours off one line.
-  struct ProcState {
+  /// thread, so no locking. One line each, so neighbours never share.
+  struct alignas(util::kCacheLine) ProcState {
     std::priority_queue<net::Packet, std::vector<net::Packet>,
                         net::PacketLater>
         heap;
+    /// Forwarded sends out of this process (atomic: read by reporting).
+    std::atomic<std::uint64_t> forwarded{0};
   };
 
   Machine& machine_;
   net::Fabric& fabric_;
   std::vector<std::unique_ptr<ProcState>> states_;
-  std::atomic<std::uint64_t> forwarded_{0};
 };
 
 /// Zero-delay direct delivery: deterministic tests and an existence proof
@@ -149,10 +151,18 @@ class InlineTransport final : public Transport {
   void reset() override;
 
  private:
+  /// Traffic out of one source process, on a line of its own: written by
+  /// whichever thread sends for that process (its pumping thread, or a
+  /// peer's acking from a delivery), so the message path shares no
+  /// machine-wide line. The totals sum over processes.
+  struct alignas(util::kCacheLine) Counters {
+    std::atomic<std::uint64_t> messages{0};
+    std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> forwarded{0};
+  };
+
   Machine& machine_;
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> forwarded_{0};
+  std::vector<Counters> counters_;
 };
 
 }  // namespace tram::rt

@@ -19,27 +19,47 @@ Worker::Worker(Machine& machine, Process& proc, WorkerId id,
                LocalWorkerId rank)
     : machine_(machine), proc_(proc), id_(id), rank_(rank) {}
 
-void Worker::enqueue(Message&& m) {
-  if (m.expedited) {
-    expedited_inbox_.push(std::move(m));
-  } else {
-    inbox_.push(std::move(m));
-  }
-}
-
 namespace {
-std::size_t this_thread_id() {
-  return std::hash<std::thread::id>{}(std::this_thread::get_id());
-}
+/// The worker the calling thread drives, or nullptr on any other thread
+/// (main, comm threads, test threads). Set by Machine::run.
+thread_local Worker* current_worker = nullptr;
 }  // namespace
 
-void Worker::send(Message&& m) {
-  if (const std::size_t owner = owner_thread_.load(std::memory_order_relaxed);
-      owner != 0 && owner != this_thread_id()) {
-    std::fprintf(stderr, "Worker::send on foreign thread (worker %d)\n", id_);
+void Worker::bind_current_thread() {
+  current_worker = this;
+  bound_.store(true, std::memory_order_relaxed);
+}
+
+void Worker::unbind_current_thread() {
+  bound_.store(false, std::memory_order_relaxed);
+  current_worker = nullptr;
+}
+
+void Worker::check_owner(const char* what) const {
+  if (current_worker != this && bound_.load(std::memory_order_relaxed))
+      [[unlikely]] {
+    std::fprintf(stderr, "Worker::%s on foreign thread (worker %d)\n", what,
+                 id_);
     std::abort();
   }
-  machine_.note_sent();
+}
+
+void Worker::enqueue(Message&& m) {
+  if (current_worker == this) {
+    (m.expedited ? own_expedited_inbox_ : own_inbox_).push(std::move(m));
+  } else {
+    (m.expedited ? expedited_inbox_ : inbox_).push(std::move(m));
+  }
+}
+
+bool Worker::inbox_empty() const {
+  return own_inbox_.empty() && own_expedited_inbox_.empty() &&
+         inbox_.empty_approx() && expedited_inbox_.empty_approx();
+}
+
+void Worker::send(Message&& m) {
+  check_owner("send");
+  bump(sent_);
   const auto& topo = machine_.topology();
   const ProcId dst_proc = topo.proc_of_worker(m.dst_worker);
   if (dst_proc == proc_.id()) {
@@ -69,9 +89,10 @@ void Worker::send_to_proc(ProcId dst, Message&& m) {
     send(std::move(m));
     return;
   }
+  check_owner("send_to_proc");
   m.dst_worker = kInvalidWorker;
   m.dst_proc_hint = dst;
-  machine_.note_sent();
+  bump(sent_);
   if (machine_.config().dedicated_comm) {
     auto& ring = proc_.egress(rank_);
     while (!ring.try_push(std::move(m))) {
@@ -85,17 +106,34 @@ void Worker::send_to_proc(ProcId dst, Message&& m) {
 void Worker::dispatch(Message&& m) {
   const EndpointId ep = m.endpoint;
   machine_.endpoints().get(ep)(*this, std::move(m));
-  handled_.fetch_add(1, std::memory_order_relaxed);
-  machine_.note_handled();
+  // After the handler: every send it made is counted before this handling
+  // is (the order quiescence detection's argument needs).
+  bump(handled_);
+}
+
+std::size_t Worker::drain(util::LocalFifo<Message>& own,
+                          util::MpscQueue<Message>& shared,
+                          std::size_t budget) {
+  std::size_t n = 0;
+  while (n < budget) {
+    const std::size_t before = n;
+    if (auto m = own.try_pop()) {
+      dispatch(std::move(*m));
+      ++n;
+    }
+    if (n < budget) {
+      if (auto m = shared.try_pop()) {
+        dispatch(std::move(*m));
+        ++n;
+      }
+    }
+    if (n == before) break;
+  }
+  return n;
 }
 
 std::size_t Worker::progress() {
-  if (const std::size_t owner = owner_thread_.load(std::memory_order_relaxed);
-      owner != 0 && owner != this_thread_id()) {
-    std::fprintf(stderr, "Worker::progress on foreign thread (worker %d)\n",
-                 id_);
-    std::abort();
-  }
+  check_owner("progress");
   // Non-SMP: this worker is its process's only communicator, so every
   // progress() pass advances the transport before draining the inboxes —
   // fabric ingress, fault-layer releases, and reliability acks, timers and
@@ -107,24 +145,10 @@ std::size_t Worker::progress() {
   // spin through here, and an unconditional clock read per spin is the
   // kind of traced-run overhead the fig_routed_histogram A/B row bounds.
   std::uint64_t t0 = 0;
-  if (trace::enabled() &&
-      (!expedited_inbox_.empty_approx() || !inbox_.empty_approx())) {
-    t0 = trace::maybe_now();
-  }
-  std::size_t n = 0;
+  if (trace::enabled() && !inbox_empty()) t0 = trace::maybe_now();
   // Expedited messages first (Charm++ expedited entry methods).
-  while (n < batch) {
-    auto m = expedited_inbox_.try_pop();
-    if (!m) break;
-    dispatch(std::move(*m));
-    ++n;
-  }
-  while (n < batch) {
-    auto m = inbox_.try_pop();
-    if (!m) break;
-    dispatch(std::move(*m));
-    ++n;
-  }
+  std::size_t n = drain(own_expedited_inbox_, expedited_inbox_, batch);
+  n += drain(own_inbox_, inbox_, batch - n);
   // One span per non-empty batch: the worker's busy time is the sum of
   // these, everything between them is idle/overhead.
   if (n > 0) trace::complete(trace::Cat::kRuntime, trace::kWorkerBusy, t0, n);

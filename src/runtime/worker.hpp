@@ -4,9 +4,14 @@
 /// \brief A worker PE: message-driven scheduler bound to one thread.
 ///
 /// Equivalent of a Charm++ PE: an OS thread with an inbox of messages,
-/// dispatching each to its endpoint handler. Two inboxes implement
-/// expedited delivery (expedited messages are handled first — the paper
-/// prioritizes TramLib messages this way).
+/// dispatching each to its endpoint handler. The inbox has two classes,
+/// expedited and ordinary (expedited messages are handled first — the
+/// paper prioritizes TramLib messages this way), and each class has two
+/// queues: an MPSC queue for messages other threads enqueue (sibling
+/// workers, the comm thread), and a single-threaded FIFO for messages the
+/// worker enqueues on its own thread (self-sends, and in non-SMP mode every
+/// transport delivery). The FIFO costs no atomic and no allocation per
+/// message; per-producer FIFO order holds in each class either way.
 ///
 /// Workers expose two integration points used by TramLib and applications:
 ///  - idle hooks: run when the inbox is empty (flush-on-idle lives here);
@@ -20,8 +25,10 @@
 #include <vector>
 
 #include "runtime/message.hpp"
+#include "util/local_fifo.hpp"
 #include "util/mpsc_queue.hpp"
 #include "util/rng.hpp"
+#include "util/spinlock.hpp"
 #include "util/types.hpp"
 
 namespace tram::rt {
@@ -53,7 +60,8 @@ class Worker {
   void send_to_proc(ProcId dst, Message&& m);
 
   /// Deliver a message into this worker's inbox (called by peers within the
-  /// process and by the comm thread). Thread-safe.
+  /// process, by the comm thread, and by this worker itself). Thread-safe.
+  /// On the worker's own thread it takes the single-threaded FIFO.
   void enqueue(Message&& m);
 
   /// Handle up to config.progress_batch pending messages. Returns the
@@ -95,9 +103,15 @@ class Worker {
     rng_ = util::Xoshiro256::for_stream(seed, static_cast<std::uint64_t>(id_));
   }
 
-  /// Messages handled by this worker since the run started.
+  /// Messages handled by this worker since the run started. Acquire:
+  /// quiescence detection relies on every send that led to a counted
+  /// handling being visible to its later reads of sent_count().
   std::uint64_t handled_count() const noexcept {
-    return handled_.load(std::memory_order_relaxed);
+    return handled_.load(std::memory_order_acquire);
+  }
+  /// Runtime messages this worker has sent since the run started.
+  std::uint64_t sent_count() const noexcept {
+    return sent_.load(std::memory_order_acquire);
   }
 
   /// Remove all idle hooks / pending counters (between benchmark configs).
@@ -110,8 +124,26 @@ class Worker {
   friend class Machine;
   friend class CommThread;
 
+  /// Bind / unbind the calling thread as the one running this worker
+  /// (Machine::run brackets each worker thread with these).
+  void bind_current_thread();
+  void unbind_current_thread();
+  /// Abort unless the caller is the bound thread (or nothing is bound).
+  void check_owner(const char* what) const;
+  /// Count one send / one handled message. Each counter has one writer,
+  /// the owning thread, so a plain load and a release store replace a
+  /// locked read-modify-write.
+  static void bump(std::atomic<std::uint64_t>& c) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  }
   /// Dispatch one message to its handler and account it.
   void dispatch(Message&& m);
+  /// Dispatch up to budget messages of one class, alternating between the
+  /// own-thread FIFO and the MPSC queue so neither starves the other.
+  std::size_t drain(util::LocalFifo<Message>& own,
+                    util::MpscQueue<Message>& shared, std::size_t budget);
+  /// True when no queue holds a message (exact only while quiesced).
+  bool inbox_empty() const;
   /// Run idle hooks once; returns true if any work might have been created.
   void run_idle_hooks();
 
@@ -122,13 +154,19 @@ class Worker {
 
   util::MpscQueue<Message> inbox_;
   util::MpscQueue<Message> expedited_inbox_;
-  /// Debug guard: id of the thread driving this worker (set by Machine::run)
-  /// so send/progress can assert they run on the owning thread.
-  std::atomic<std::size_t> owner_thread_{0};
+  util::LocalFifo<Message> own_inbox_;
+  util::LocalFifo<Message> own_expedited_inbox_;
+  /// Debug guard: set while a thread is bound (Machine::run), so send and
+  /// progress from any other thread abort. Read only when the caller's
+  /// thread-local binding is not this worker.
+  std::atomic<bool> bound_{false};
 
   std::vector<std::function<void(Worker&)>> idle_hooks_;
   std::vector<std::function<std::uint64_t()>> pending_counters_;
   util::Xoshiro256 rng_;
+  /// The owning thread's counters, on a line of their own: quiescence
+  /// detection reads them from another thread.
+  alignas(util::kCacheLine) std::atomic<std::uint64_t> sent_{0};
   std::atomic<std::uint64_t> handled_{0};
 };
 

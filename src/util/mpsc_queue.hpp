@@ -3,8 +3,11 @@
 /// \file mpsc_queue.hpp
 /// \brief Unbounded multi-producer single-consumer queue.
 ///
-/// This is the worker inbox: any worker / comm thread may enqueue runtime
-/// messages, only the owning worker dequeues. We use the Vyukov intrusive
+/// This is the cross-thread half of a worker inbox — sibling workers and
+/// the comm thread enqueue runtime messages, only the owning worker
+/// dequeues; messages a worker enqueues on its own thread take the
+/// single-threaded util::LocalFifo instead — and the fabric's per-process
+/// ingress. Each push allocates a node. We use the Vyukov intrusive
 /// MPSC algorithm generalized to non-intrusive nodes: producers swing an
 /// atomic head with a single exchange (wait-free), the consumer follows next
 /// pointers. The consumer can observe a transiently broken link while a
@@ -16,9 +19,10 @@
 /// consumer's load(acquire) on `next` are the load-bearing pair (they
 /// publish the node's value). empty_approx() is an advisory idle heuristic
 /// whose result is stale the instant it returns, so its load is relaxed;
-/// pop_count is a single-writer monotone counter read under quiescence
-/// windows, also relaxed. Both relaxations are exercised by util_sync_test
-/// under the DebugSync deterministic scheduler.
+/// pop_count is a single-writer monotone counter (a diagnostic: the
+/// consumer's plain load + store), also relaxed. Both relaxations are
+/// exercised by util_sync_test under the DebugSync deterministic
+/// scheduler.
 
 #include <atomic>
 #include <cstddef>
@@ -70,7 +74,9 @@ class MpscQueue {
     T out = std::move(next->value);
     tail_ = next;
     delete tail;
-    pop_count_.fetch_add(1, std::memory_order_relaxed);
+    // Single writer (the consumer): a plain load and store, no locked RMW.
+    pop_count_.store(pop_count_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
     return out;
   }
 
@@ -82,8 +88,8 @@ class MpscQueue {
     return tail_->next.load(std::memory_order_relaxed) == nullptr;
   }
 
-  /// Total elements ever popped (consumer-side monotone counter, used by
-  /// quiescence detection).
+  /// Total elements ever popped (consumer-side monotone counter; exact
+  /// when read on the consumer thread or after it is joined).
   std::size_t pop_count() const {
     return pop_count_.load(std::memory_order_relaxed);
   }

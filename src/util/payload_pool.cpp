@@ -1,11 +1,8 @@
 #include "util/payload_pool.hpp"
 
+#include <atomic>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <new>
-#include <thread>
 
 namespace tram::util {
 
@@ -24,11 +21,13 @@ int log2_of(std::size_t pow2) noexcept {
   return n;
 }
 
-/// Stripe affinity: hash the calling thread once so a thread's releases
-/// land on the free list its next acquire checks first.
+/// Stripe affinity: a thread draws a ticket on its first pool call and
+/// keeps it, so its releases land on the free list its next acquire checks
+/// first, and threads created together get distinct stripes.
 std::size_t my_stripe() noexcept {
+  static std::atomic<std::size_t> next_ticket{0};
   thread_local const std::size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
+      next_ticket.fetch_add(1, std::memory_order_relaxed);
   return stripe;
 }
 
@@ -95,30 +94,32 @@ void PayloadPool::destroy_block(detail::SlabHeader* h) noexcept {
   ::operator delete(h, std::align_val_t{kCacheLine});
 }
 
-PayloadRef PayloadPool::acquire(std::size_t bytes) {
-  if (bytes == 0) return {};
-  acquires_.fetch_add(1, std::memory_order_relaxed);
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
+void PayloadPool::charge(StripeCounters& ctr, std::size_t capacity) noexcept {
+  ctr.outstanding.fetch_add(1, std::memory_order_relaxed);
   // Charge the block's full capacity (not the logical size): that is what
   // the budgeted caller's memory actually holds.
-  const auto charge = [this](std::size_t cap) {
-    const std::uint64_t now =
-        outstanding_bytes_.fetch_add(cap, std::memory_order_relaxed) + cap;
-    std::uint64_t peak = peak_outstanding_bytes_.load(std::memory_order_relaxed);
-    while (now > peak && !peak_outstanding_bytes_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-  };
+  const std::uint64_t now =
+      outstanding_bytes_.fetch_add(capacity, std::memory_order_relaxed) +
+      capacity;
+  std::uint64_t peak = peak_outstanding_bytes_.load(std::memory_order_relaxed);
+  while (now > peak && !peak_outstanding_bytes_.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
+  }
+}
+
+PayloadRef PayloadPool::acquire(std::size_t bytes) {
+  if (bytes == 0) return {};
+  const std::size_t base = my_stripe();
+  StripeCounters& ctr = counters_[base % kStripes];
 
   if (bytes > cfg_.max_slab_bytes) {
-    heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    charge(bytes);
+    ctr.heap_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    charge(ctr, bytes);
     detail::SlabHeader* h = new_block(bytes, /*pooled=*/false);
     return PayloadRef(h, detail::slab_data(h), bytes);
   }
 
   SizeClass& cls = classes_[class_index(bytes)];
-  const std::size_t base = my_stripe();
   for (std::size_t i = 0; i < kStripes; ++i) {
     Stripe& stripe = cls.stripes[(base + i) % kStripes];
     detail::SlabHeader* h = nullptr;
@@ -127,14 +128,14 @@ PayloadRef PayloadPool::acquire(std::size_t bytes) {
       h = stripe.head;
       if (h != nullptr) {
         stripe.head = h->next_free;
-        // Inside the lock: a pop must always observe the matching push's
-        // increment, or the counter transiently underflows.
-        free_slabs_.fetch_sub(1, std::memory_order_relaxed);
+        stripe.free_slabs.store(
+            stripe.free_slabs.load(std::memory_order_relaxed) - 1,
+            std::memory_order_relaxed);
       }
     }
     if (h != nullptr) {
-      pool_hits_.fetch_add(1, std::memory_order_relaxed);
-      charge(h->capacity);
+      ctr.pool_hits.fetch_add(1, std::memory_order_relaxed);
+      charge(ctr, h->capacity);
       h->next_free = nullptr;
       h->refs.store(1, std::memory_order_relaxed);
       return PayloadRef(h, detail::slab_data(h), bytes);
@@ -145,15 +146,15 @@ PayloadRef PayloadPool::acquire(std::size_t bytes) {
       cls.total_slabs.load(std::memory_order_relaxed) >=
           cfg_.max_slabs_per_class) {
     // Pool exhausted for this class: degrade to a one-shot heap block.
-    heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    charge(bytes);
+    ctr.heap_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    charge(ctr, bytes);
     detail::SlabHeader* h = new_block(bytes, /*pooled=*/false);
     return PayloadRef(h, detail::slab_data(h), bytes);
   }
 
   cls.total_slabs.fetch_add(1, std::memory_order_relaxed);
-  slab_allocs_.fetch_add(1, std::memory_order_relaxed);
-  charge(cls.capacity);
+  ctr.slab_allocs.fetch_add(1, std::memory_order_relaxed);
+  charge(ctr, cls.capacity);
   detail::SlabHeader* h = new_block(cls.capacity, /*pooled=*/true);
   return PayloadRef(h, detail::slab_data(h), bytes);
 }
@@ -164,34 +165,50 @@ void PayloadPool::release_slab(detail::SlabHeader* h) noexcept {
 }
 
 void PayloadPool::on_release(detail::SlabHeader* h) noexcept {
-  releases_.fetch_add(1, std::memory_order_relaxed);
-  outstanding_.fetch_sub(1, std::memory_order_relaxed);
+  const std::size_t base = my_stripe();
+  StripeCounters& ctr = counters_[base % kStripes];
+  ctr.releases.fetch_add(1, std::memory_order_relaxed);
+  ctr.outstanding.fetch_sub(1, std::memory_order_relaxed);
   outstanding_bytes_.fetch_sub(h->capacity, std::memory_order_relaxed);
   if (!h->pooled) {
     destroy_block(h);
     return;
   }
   SizeClass& cls = classes_[class_index(h->capacity)];
-  Stripe& stripe = cls.stripes[my_stripe() % kStripes];
+  Stripe& stripe = cls.stripes[base % kStripes];
   {
     std::lock_guard<Spinlock> g(stripe.mu);
     h->next_free = stripe.head;
     stripe.head = h;
-    free_slabs_.fetch_add(1, std::memory_order_relaxed);
+    stripe.free_slabs.store(
+        stripe.free_slabs.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
   }
 }
 
 PayloadPool::Stats PayloadPool::stats() const {
   Stats s;
-  s.acquires = acquires_.load(std::memory_order_relaxed);
-  s.pool_hits = pool_hits_.load(std::memory_order_relaxed);
-  s.slab_allocs = slab_allocs_.load(std::memory_order_relaxed);
-  s.heap_fallbacks = heap_fallbacks_.load(std::memory_order_relaxed);
-  s.releases = releases_.load(std::memory_order_relaxed);
-  s.free_slabs = free_slabs_.load(std::memory_order_relaxed);
+  std::int64_t outstanding = 0;
+  for (const StripeCounters& c : counters_) {
+    s.pool_hits += c.pool_hits.load(std::memory_order_relaxed);
+    s.slab_allocs += c.slab_allocs.load(std::memory_order_relaxed);
+    s.heap_fallbacks += c.heap_fallbacks.load(std::memory_order_relaxed);
+    s.releases += c.releases.load(std::memory_order_relaxed);
+    outstanding += c.outstanding.load(std::memory_order_relaxed);
+  }
+  // Every acquire is exactly one of a hit, a new slab or a heap fallback.
+  s.acquires = s.pool_hits + s.slab_allocs + s.heap_fallbacks;
+  for (int c = 0; c < num_classes_; ++c) {
+    for (const Stripe& stripe : classes_[c].stripes) {
+      s.free_slabs += stripe.free_slabs.load(std::memory_order_relaxed);
+    }
+  }
   // A live counter, not acquires - releases: reset_stats() zeroes the
-  // flow counters between benchmark trials while buffers stay alive.
-  s.outstanding = outstanding_.load(std::memory_order_relaxed);
+  // flow counters between benchmark trials while buffers stay alive. The
+  // stripes are read one after another, so a concurrent cross-stripe
+  // handoff can make the sum transiently negative; report that as zero.
+  s.outstanding = outstanding > 0 ? static_cast<std::uint64_t>(outstanding)
+                                  : 0;
   s.outstanding_bytes = outstanding_bytes_.load(std::memory_order_relaxed);
   s.peak_outstanding_bytes =
       peak_outstanding_bytes_.load(std::memory_order_relaxed);
@@ -199,11 +216,12 @@ PayloadPool::Stats PayloadPool::stats() const {
 }
 
 void PayloadPool::reset_stats() {
-  acquires_.store(0, std::memory_order_relaxed);
-  pool_hits_.store(0, std::memory_order_relaxed);
-  slab_allocs_.store(0, std::memory_order_relaxed);
-  heap_fallbacks_.store(0, std::memory_order_relaxed);
-  releases_.store(0, std::memory_order_relaxed);
+  for (StripeCounters& c : counters_) {
+    c.pool_hits.store(0, std::memory_order_relaxed);
+    c.slab_allocs.store(0, std::memory_order_relaxed);
+    c.heap_fallbacks.store(0, std::memory_order_relaxed);
+    c.releases.store(0, std::memory_order_relaxed);
+  }
   // Re-arm the high-water to the bytes still live, so the next trial's
   // peak measures that trial alone.
   peak_outstanding_bytes_.store(

@@ -18,9 +18,17 @@
 ///    configured per-class slab cap) fall back to one-shot heap blocks that
 ///    behave identically but are freed on release — the pool degrades, it
 ///    never fails.
-///  - Each class keeps kStripes spinlocked LIFO free lists indexed by a
-///    thread-id hash, so concurrent workers rarely contend; an empty stripe
-///    steals from its neighbours before allocating a new slab.
+///  - Each class keeps kStripes spinlocked LIFO free lists, one cache line
+///    each. A thread takes a stripe index round-robin on its first pool
+///    call and keeps it, so threads that start together (up to kStripes
+///    of them) never share a stripe; an empty stripe steals from its
+///    neighbours before allocating a new slab.
+///  - The flow counters (hits, slab allocs, heap fallbacks, releases,
+///    outstanding buffers) are per stripe index, one padded line each, and
+///    a stripe's free-slab count lives in the stripe; stats() sums them.
+///    So an acquire or release writes no line that every thread writes,
+///    except outstanding_bytes and, on a new high, its peak: those stay
+///    global so the peak, which budgets are checked against, is exact.
 ///  - A PayloadRef may be a *view* into another ref's slab (subref):
 ///    destination-side scatter ships segments of one inbound buffer as
 ///    zero-copy messages, and the slab recycles when the last segment is
@@ -278,19 +286,36 @@ class PayloadPool {
   friend class PayloadRef;
   static constexpr std::size_t kStripes = 8;
 
-  struct Stripe {
+  struct alignas(kCacheLine) Stripe {
     Spinlock mu;
     detail::SlabHeader* head = nullptr;
+    /// Slabs on this list. Written only under mu; atomic so stats() can
+    /// read it without the lock.
+    std::atomic<std::uint64_t> free_slabs{0};
   };
   struct SizeClass {
     std::size_t capacity = 0;
     std::atomic<std::size_t> total_slabs{0};
     Stripe stripes[kStripes];
   };
+  /// Flow counters of one stripe index. Shared only by threads that drew
+  /// the same index, hence still atomic read-modify-writes.
+  struct alignas(kCacheLine) StripeCounters {
+    std::atomic<std::uint64_t> pool_hits{0};
+    std::atomic<std::uint64_t> slab_allocs{0};
+    std::atomic<std::uint64_t> heap_fallbacks{0};
+    std::atomic<std::uint64_t> releases{0};
+    /// Acquires minus releases made on this index: a buffer acquired on
+    /// one thread and released on another leaves one stripe positive and
+    /// another negative; only the sum means anything.
+    std::atomic<std::int64_t> outstanding{0};
+  };
 
   static void release_slab(detail::SlabHeader* h) noexcept;
   void on_release(detail::SlabHeader* h) noexcept;
 
+  /// Account a newly handed-out buffer of `capacity` bytes.
+  void charge(StripeCounters& ctr, std::size_t capacity) noexcept;
   detail::SlabHeader* new_block(std::size_t capacity, bool pooled);
   static void destroy_block(detail::SlabHeader* h) noexcept;
 
@@ -301,14 +326,8 @@ class PayloadPool {
   int min_shift_ = 0;
   std::unique_ptr<SizeClass[]> classes_;
 
-  std::atomic<std::uint64_t> acquires_{0};
-  std::atomic<std::uint64_t> pool_hits_{0};
-  std::atomic<std::uint64_t> slab_allocs_{0};
-  std::atomic<std::uint64_t> heap_fallbacks_{0};
-  std::atomic<std::uint64_t> releases_{0};
-  std::atomic<std::uint64_t> free_slabs_{0};
-  std::atomic<std::uint64_t> outstanding_{0};
-  std::atomic<std::uint64_t> outstanding_bytes_{0};
+  StripeCounters counters_[kStripes];
+  alignas(kCacheLine) std::atomic<std::uint64_t> outstanding_bytes_{0};
   std::atomic<std::uint64_t> peak_outstanding_bytes_{0};
 };
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "runtime/machine.hpp"
@@ -114,40 +115,85 @@ TEST(Machine, HandlerGeneratedMessagesAreDrainedByQd) {
   EXPECT_EQ(hops.load(), 100);
 }
 
+/// Sends three ordinary messages and then one expedited message from
+/// `from` to `to`, payloads 0, 1, 2 and 100.
+void send_mixed_burst(Worker& from, WorkerId to, EndpointId ep) {
+  for (int i = 0; i < 3; ++i) {
+    Message ordinary;
+    ordinary.endpoint = ep;
+    ordinary.dst_worker = to;
+    ordinary.src_worker = from.id();
+    ordinary.payload = rt::encode_payload<int>(i);
+    from.send(std::move(ordinary));
+  }
+  Message fast;
+  fast.endpoint = ep;
+  fast.dst_worker = to;
+  fast.src_worker = from.id();
+  fast.expedited = true;
+  fast.payload = rt::encode_payload<int>(100);
+  from.send(std::move(fast));
+}
+
 TEST(Machine, ExpeditedHandledBeforeOrdinary) {
-  // Preload one worker's inboxes while it is blocked in main, then check
-  // the expedited message is dispatched first.
-  Machine m(Topology(1, 1, 2), testing_cfg());
-  std::vector<int> order;
-  util::Spinlock order_mu;
-  const EndpointId ep = m.register_endpoint([&](Worker&, Message&& msg) {
-    std::lock_guard<util::Spinlock> g(order_mu);
-    order.push_back(rt::decode_payload<int>(msg)[0]);
-  });
-  m.run([&](Worker& w) {
-    if (w.id() == 0) {
-      // Fill worker 1's inboxes while it waits at the barrier: the
-      // expedited message is sent LAST but must be dispatched FIRST.
-      for (int i = 0; i < 3; ++i) {
-        Message ordinary;
-        ordinary.endpoint = ep;
-        ordinary.dst_worker = 1;
-        ordinary.src_worker = 0;
-        ordinary.payload = rt::encode_payload<int>(i);
-        w.send(std::move(ordinary));
-      }
-      Message fast;
-      fast.endpoint = ep;
-      fast.dst_worker = 1;
-      fast.src_worker = 0;
-      fast.expedited = true;
-      fast.payload = rt::encode_payload<int>(100);
-      w.send(std::move(fast));
-    }
-    w.machine().barrier();  // worker 1 starts dispatching only after this
-  });
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order.front(), 100);
+  // Preload one worker's inbox before it dispatches; the expedited
+  // message is sent last but must be dispatched first, and each class
+  // keeps FIFO order. A sibling's send goes through the MPSC inbox;
+  // messages a worker enqueues on its own thread take the single-threaded
+  // FIFO instead: an SMP self-send, and a non-SMP transport delivery (the
+  // receiving worker polls the fabric itself).
+  struct Setup {
+    const char* name;
+    Topology topo;
+    RuntimeConfig cfg;
+    WorkerId receiver;
+  };
+  RuntimeConfig non_smp = testing_cfg();  // modeled fabric, zero cost
+  non_smp.dedicated_comm = false;
+  const Setup setups[] = {
+      {"smp sibling send", Topology(1, 1, 2), testing_cfg(), 1},
+      {"smp self-send", Topology(1, 1, 2), testing_cfg(), 0},
+      {"non-smp remote delivery", Topology(2, 1, 1), non_smp, 1},
+  };
+  for (const Setup& s : setups) {
+    SCOPED_TRACE(s.name);
+    Machine m(s.topo, s.cfg);
+    std::vector<int> order;
+    util::Spinlock order_mu;
+    const EndpointId ep = m.register_endpoint([&](Worker&, Message&& msg) {
+      std::lock_guard<util::Spinlock> g(order_mu);
+      order.push_back(rt::decode_payload<int>(msg)[0]);
+    });
+    m.run([&](Worker& w) {
+      // The whole burst is enqueued before the receiver dispatches: a
+      // self-sender dispatches only after its main returns, and any other
+      // receiver waits at the barrier without dispatching or polling.
+      if (w.id() == 0) send_mixed_burst(w, s.receiver, ep);
+      w.machine().barrier();
+    });
+    EXPECT_EQ(order, (std::vector<int>{100, 0, 1, 2}));
+  }
+}
+
+TEST(MachineDeathTest, SendFromForeignThreadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Machine m(Topology(1, 1, 2), testing_cfg());
+        const EndpointId ep = m.register_endpoint([](Worker&, Message&&) {});
+        m.run([&](Worker& w) {
+          if (w.id() != 0) return;
+          std::thread intruder([&] {
+            Message msg;
+            msg.endpoint = ep;
+            msg.dst_worker = 1;
+            msg.src_worker = 0;
+            w.send(std::move(msg));
+          });
+          intruder.join();
+        });
+      },
+      "Worker::send on foreign thread");
 }
 
 TEST(Machine, BarrierSynchronizesWorkers) {

@@ -149,9 +149,12 @@ void check_pool_peak_rearm() {
 
 void check_link_queue_rearm() {
   // Two sources converging on one destination share its ingress link:
-  // the second arrival queues, arming the queue-delay high-water.
+  // the second arrival queues, arming the queue-delay high-water. The
+  // occupancy (10 ms) dwarfs the time between the two sends even in a
+  // sanitizer build, where building the second packet can take longer
+  // than 10 us.
   net::CostModel m = net::CostModel::zero();
-  m.link_per_msg_ns = 10'000;
+  m.link_per_msg_ns = 10'000'000;
   net::Fabric fab(util::Topology(3, 1, 1), m);
   auto packet = [](ProcId src, ProcId dst) {
     net::Packet p;

@@ -181,6 +181,13 @@ TEST(PayloadPool, ConcurrentAcquireReleaseIsConsistent) {
   EXPECT_EQ(s.outstanding, 0u);
   // Steady state must be dominated by recycling, not allocation.
   EXPECT_GT(s.recycle_rate(), 0.95);
+  // Striped counters sum exactly once every thread is joined: every slab
+  // ever allocated is back on some stripe's free list, and the global
+  // byte counter is back to zero. Each thread holds at most one buffer,
+  // of at most the 2 KiB class (64 + 6 * 300 bytes rounds up to 2048).
+  EXPECT_EQ(s.free_slabs, s.slab_allocs);
+  EXPECT_EQ(s.outstanding_bytes, 0u);
+  EXPECT_LE(s.peak_outstanding_bytes, std::uint64_t{kThreads} * 2048u);
 }
 
 TEST(PayloadPool, CrossThreadHandoffKeepsRefcountExact) {
@@ -223,6 +230,13 @@ TEST(PayloadPool, CrossThreadHandoffKeepsRefcountExact) {
   EXPECT_EQ(s.outstanding, 0u);
   EXPECT_EQ(s.acquires, static_cast<std::uint64_t>(kMessages));
   EXPECT_GT(s.recycle_rate(), 0.9);
+  // Acquires land on the producer's stripe and releases on the
+  // consumer's; the sums must still balance exactly. At most kWindow
+  // buffers are in the channel, plus the one the consumer holds and the
+  // one the producer is filling.
+  EXPECT_EQ(s.free_slabs, s.slab_allocs);
+  EXPECT_EQ(s.outstanding_bytes, 0u);
+  EXPECT_LE(s.peak_outstanding_bytes, std::uint64_t{kWindow + 2} * 1024u);
 }
 
 TEST(PayloadCodec, EmptyPayloadDecodesToEmptySpan) {
