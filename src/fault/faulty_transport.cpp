@@ -81,6 +81,13 @@ void FaultyTransport::send(ProcId src_proc, rt::Message&& m) {
 }
 
 std::size_t FaultyTransport::poll(rt::Process& proc) {
+  // Nothing held anywhere — always so without delay faults: skip the
+  // lock, the clock read and the release vector. dispatch() counts a
+  // hold before pushing it, so a poll racing a push only defers that
+  // release to the next poll.
+  if (held_count_.load(std::memory_order_acquire) == 0) {
+    return inner_->poll(proc);
+  }
   auto& st = *state_[static_cast<std::size_t>(proc.id())];
   const std::uint64_t now = util::now_ns();
   std::vector<rt::Message> release;
@@ -107,6 +114,7 @@ std::size_t FaultyTransport::poll(rt::Process& proc) {
 std::uint64_t FaultyTransport::next_due_ns(ProcId p) const {
   const auto& st = *state_[static_cast<std::size_t>(p)];
   const std::uint64_t inner_due = inner_->next_due_ns(p);
+  if (held_count_.load(std::memory_order_acquire) == 0) return inner_due;
   std::lock_guard<util::Spinlock> g(st.mu);
   if (st.held.empty()) return inner_due;
   const std::uint64_t held_due = st.held.top().due_ns;

@@ -51,6 +51,13 @@ void fetch_max(std::atomic<std::uint64_t>& a, std::uint64_t v) noexcept {
          !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
 }
+
+void fetch_min(std::atomic<std::uint64_t>& a, std::uint64_t v) noexcept {
+  std::uint64_t cur = a.load(std::memory_order_relaxed);
+  while (v < cur &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
 }  // namespace
 
 ReliableTransport::ReliableTransport(rt::Machine& machine,
@@ -58,7 +65,8 @@ ReliableTransport::ReliableTransport(rt::Machine& machine,
                                      FaultConfig cfg)
     : machine_(machine),
       inner_(std::move(inner)),
-      procs_(machine.topology().procs()) {
+      procs_(machine.topology().procs()),
+      ps_(static_cast<std::size_t>(procs_)) {
   cfg.validate();
   // Virtual-time timeout: a few modeled one-way latencies plus whatever
   // extra delay the fault layer injects, floored for zero-cost models.
@@ -97,6 +105,14 @@ std::uint64_t ReliableTransport::rto_for(const Channel& c) const noexcept {
     return rto_ceil_ns_;
   }
   return backed;
+}
+
+void ReliableTransport::arm(ProcId p, std::uint64_t deadline_ns) noexcept {
+  // Relaxed is enough: the caller holds the channel lock, and poll()'s
+  // scan takes that lock after resetting due_ns. An arm whose critical
+  // section follows the scan's lands after the reset; one that precedes
+  // it leaves a deadline the scan sees and re-arms.
+  fetch_min(ps_[static_cast<std::size_t>(p)].due_ns, deadline_ns);
 }
 
 bool ReliableTransport::window_admits(const Channel& c) const noexcept {
@@ -194,6 +210,10 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   out.payload = std::move(framed);
 
   Channel& fwd = ch(src_proc, dst);
+  ProcState& ps = ps_[static_cast<std::size_t>(src_proc)];
+  // Counted before the entry is queued, so the count never falls below
+  // the queue: idle() may read stale-high, never stale-low.
+  ps.unacked.fetch_add(1, std::memory_order_acq_rel);
   bool tx = false;
   std::uint32_t inflight_now = 0;
   {
@@ -218,13 +238,13 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
       fwd.unacked.push_back(std::move(e));
       if (fwd.probe_deadline_ns == 0) {
         fwd.probe_deadline_ns = now + rto_for(fwd);
+        arm(src_proc, fwd.probe_deadline_ns);
       }
       tx = true;
     } else {
       fwd.paced.push_back(std::move(e));
     }
   }
-  unacked_total_.fetch_add(1, std::memory_order_acq_rel);
   if (!tx) {
     paced_msgs_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -241,7 +261,7 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
     if (rev.owes_ack && rev.cum == h.ack && rev.ooo.size() == ooo_at_stamp) {
       rev.owes_ack = false;
       rev.ack_deadline_ns = 0;
-      owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
+      ps.owed_acks.fetch_sub(1, std::memory_order_acq_rel);
     }
   }
   inner_->send(src_proc, std::move(out));
@@ -250,9 +270,11 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
 void ReliableTransport::drain_paced(ProcId src_proc, Channel& c) {
   std::vector<rt::Message> to_send;
   std::uint32_t inflight_now = 0;
-  const std::uint64_t now = util::now_ns();
   {
     std::lock_guard<util::Spinlock> g(c.mu);
+    // The common case: nothing paced, so no clock read.
+    if (c.paced.empty()) return;
+    const std::uint64_t now = util::now_ns();
     while (!c.paced.empty() && window_admits(c)) {
       SendEntry e = std::move(c.paced.front());
       c.paced.pop_front();
@@ -264,7 +286,10 @@ void ReliableTransport::drain_paced(ProcId src_proc, Channel& c) {
     }
     if (!to_send.empty()) {
       inflight_now = c.inflight_msgs;
-      if (c.probe_deadline_ns == 0) c.probe_deadline_ns = now + rto_for(c);
+      if (c.probe_deadline_ns == 0) {
+        c.probe_deadline_ns = now + rto_for(c);
+        arm(src_proc, c.probe_deadline_ns);
+      }
     }
   }
   if (to_send.empty()) return;
@@ -364,6 +389,7 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
     if (settled != 0 || fast_n != 0 || newly_sacked) {
       c.probe_deadline_ns =
           c.inflight_msgs != 0 ? now + rto_for(c) : 0;
+      if (c.probe_deadline_ns != 0) arm(data_src, c.probe_deadline_ns);
     }
     cwnd_now = static_cast<std::uint64_t>(c.cwnd);
   }
@@ -382,7 +408,8 @@ void ReliableTransport::apply_ack(ProcId data_src, ProcId data_dst,
     if (settled != 0 || fast_n != 0) trace::cwnd_sample(cwnd_now, chan);
   }
   if (settled != 0) {
-    unacked_total_.fetch_sub(settled, std::memory_order_acq_rel);
+    ps_[static_cast<std::size_t>(data_src)].unacked.fetch_sub(
+        settled, std::memory_order_acq_rel);
   }
   if (fast_n != 0) {
     retransmits_.fetch_add(fast_n, std::memory_order_relaxed);
@@ -411,7 +438,9 @@ bool ReliableTransport::on_inbound(rt::Process& proc, rt::Message& m) {
     if (!c.owes_ack) {
       c.owes_ack = true;
       c.ack_deadline_ns = util::now_ns() + ack_delay_ns_;
-      owed_acks_total_.fetch_add(1, std::memory_order_acq_rel);
+      ps_[static_cast<std::size_t>(dst)].owed_acks.fetch_add(
+          1, std::memory_order_acq_rel);
+      arm(dst, c.ack_deadline_ns);
     }
     if (seq_before(h.seq, c.cum) || c.ooo.count(h.seq) != 0) {
       dup_drops_.fetch_add(1, std::memory_order_relaxed);
@@ -450,20 +479,23 @@ void ReliableTransport::send_standalone_ack(ProcId from, ProcId to,
 
 std::size_t ReliableTransport::poll(rt::Process& proc) {
   const std::size_t delivered = inner_->poll(proc);
-  // Nothing unacked and no ack owed anywhere: the channel scan below
-  // would find no work — two atomic loads instead of O(procs) locks on
-  // every idle pump iteration. A stale read only defers the scan to the
-  // next poll.
-  if (unacked_total_.load(std::memory_order_acquire) == 0 &&
-      owed_acks_total_.load(std::memory_order_acquire) == 0) {
-    return delivered;
-  }
   const ProcId p = proc.id();
+  ProcState& ps = ps_[static_cast<std::size_t>(p)];
+  if (idle(ps)) return delivered;
+  // No timer of p's is due yet: one load and one clock read, not
+  // O(procs) spinlocks per pump iteration.
+  const std::uint64_t due = ps.due_ns.load(std::memory_order_relaxed);
+  if (due == kNoDue) return delivered;
   const std::uint64_t now = util::now_ns();
+  if (now < due) return delivered;
+  // Reset before the first channel lock: every deadline armed from here
+  // on either lands after this store or is seen, still pending, by the
+  // scan below, which re-arms it (see arm()).
+  ps.due_ns.store(kNoDue, std::memory_order_relaxed);
   // Once the machine is stopping, any ack still owed is redundant (its
   // data is already acked — in_flight() was zero when QD fired) and the
   // peer's pump may already have exited; sending it would strand a packet
-  // in an undrained ingress queue.
+  // in an undrained ingress queue. Nor is it re-armed.
   const bool stopping = machine_.stopping();
   for (ProcId d = 0; d < procs_; ++d) {
     if (d == p) continue;
@@ -479,19 +511,21 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
     std::uint64_t cwnd_now = 0;
     {
       std::lock_guard<util::Spinlock> g(out.mu);
-      if (out.inflight_msgs != 0 && out.probe_deadline_ns != 0 &&
-          now >= out.probe_deadline_ns) {
-        for (SendEntry& e : out.unacked) {
-          if (e.sacked) continue;
-          ++e.rtx_count;
-          e.fast_rtxed = false;  // eligible again next SACK round
-          rtx.push_back(e.msg);
-          rtx_bytes += e.bytes;
-          if (!sack_) break;  // legacy: head-of-line probe only
+      if (out.inflight_msgs != 0 && out.probe_deadline_ns != 0) {
+        if (now >= out.probe_deadline_ns) {
+          for (SendEntry& e : out.unacked) {
+            if (e.sacked) continue;
+            ++e.rtx_count;
+            e.fast_rtxed = false;  // eligible again next SACK round
+            rtx.push_back(e.msg);
+            rtx_bytes += e.bytes;
+            if (!sack_) break;  // legacy: head-of-line probe only
+          }
+          loss_event(out, /*timeout=*/true);
+          out.probe_deadline_ns = now + rto_for(out);
+          cwnd_now = static_cast<std::uint64_t>(out.cwnd);
         }
-        loss_event(out, /*timeout=*/true);
-        out.probe_deadline_ns = now + rto_for(out);
-        cwnd_now = static_cast<std::uint64_t>(out.cwnd);
+        arm(p, out.probe_deadline_ns);
       }
     }
     if (!rtx.empty()) {
@@ -519,13 +553,17 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
     bool send_ack = false;
     {
       std::lock_guard<util::Spinlock> g(in.mu);
-      if (in.owes_ack && now >= in.ack_deadline_ns) {
-        in.owes_ack = false;
-        in.ack_deadline_ns = 0;
-        owed_acks_total_.fetch_sub(1, std::memory_order_acq_rel);
-        ack = in.cum;
-        if (sack_) sack = build_sack_bitmap(in.cum, in.ooo);
-        send_ack = true;
+      if (in.owes_ack) {
+        if (now >= in.ack_deadline_ns) {
+          in.owes_ack = false;
+          in.ack_deadline_ns = 0;
+          ps.owed_acks.fetch_sub(1, std::memory_order_acq_rel);
+          ack = in.cum;
+          if (sack_) sack = build_sack_bitmap(in.cum, in.ooo);
+          send_ack = true;
+        } else {
+          arm(p, in.ack_deadline_ns);
+        }
       }
     }
     if (send_ack) send_standalone_ack(p, d, ack, sack);
@@ -534,35 +572,38 @@ std::size_t ReliableTransport::poll(rt::Process& proc) {
 }
 
 std::uint64_t ReliableTransport::next_due_ns(ProcId p) const {
-  std::uint64_t due = inner_->next_due_ns(p);
-  if (unacked_total_.load(std::memory_order_acquire) == 0 &&
-      owed_acks_total_.load(std::memory_order_acquire) == 0) {
-    return due;
-  }
-  const bool stopping = machine_.stopping();
-  for (ProcId d = 0; d < procs_; ++d) {
-    if (d == p) continue;
-    {
-      const Channel& out = ch(p, d);
-      std::lock_guard<util::Spinlock> g(out.mu);
-      if (out.inflight_msgs != 0) {
-        due = min_due(due, out.probe_deadline_ns);
-      }
-    }
-    if (stopping) continue;
-    const Channel& in = ch(d, p);
-    std::lock_guard<util::Spinlock> g(in.mu);
-    if (in.owes_ack) due = min_due(due, in.ack_deadline_ns);
-  }
-  return due;
+  const std::uint64_t inner_due = inner_->next_due_ns(p);
+  // Once stopping, no probe is armed (in_flight() was zero when QD fired)
+  // and poll() abandons owed acks: nothing of ours may keep the comm
+  // thread from exiting.
+  const ProcState& ps = ps_[static_cast<std::size_t>(p)];
+  if (machine_.stopping() || idle(ps)) return inner_due;
+  // May be earlier than any pending deadline; that only wakes the comm
+  // thread sooner, and the poll that follows recomputes it.
+  const std::uint64_t due = ps.due_ns.load(std::memory_order_relaxed);
+  return due == kNoDue ? inner_due : min_due(inner_due, due);
 }
 
 std::uint64_t ReliableTransport::in_flight() const {
   // Unacked messages — transmitted (may need re-shipping) or paced (not
   // yet shipped at all): the machine is not quiescent until every one is
-  // confirmed delivered.
-  return unacked_total_.load(std::memory_order_acquire) +
-         inner_->in_flight();
+  // confirmed delivered. The per-process counts are read at different
+  // instants, so the sum is not a snapshot. An entry live across the
+  // whole pass is counted, and one settled before its process's read
+  // needs nothing more. The only entries a pass can miss were queued
+  // after their process's read. Each belongs to a runtime message the
+  // workers counted as sent before it reached this layer. Quiescence
+  // detection reads the sent and handled counters before calling here.
+  // If those reads included the message, handled == sent means it was
+  // already delivered, so its entry was queued before this pass began.
+  // If they did not, the next sample's sent sum differs and the settle
+  // window restarts. A zero sum therefore never lets quiescence fire
+  // over a message that may still need re-shipping.
+  std::uint64_t unacked = 0;
+  for (const ProcState& ps : ps_) {
+    unacked += ps.unacked.load(std::memory_order_acquire);
+  }
+  return unacked + inner_->in_flight();
 }
 
 std::uint64_t ReliableTransport::total_messages() const {
@@ -596,6 +637,13 @@ std::size_t ReliableTransport::debug_paced(ProcId src, ProcId dst) const {
   return c.paced.size();
 }
 
+std::uint64_t ReliableTransport::debug_probe_deadline_ns(ProcId src,
+                                                         ProcId dst) const {
+  const Channel& c = ch(src, dst);
+  std::lock_guard<util::Spinlock> g(c.mu);
+  return c.probe_deadline_ns;
+}
+
 void ReliableTransport::reset() {
   const std::size_t n = static_cast<std::size_t>(procs_) *
                         static_cast<std::size_t>(procs_);
@@ -620,8 +668,11 @@ void ReliableTransport::reset() {
     c.owes_ack = false;
     c.ack_deadline_ns = 0;
   }
-  unacked_total_.store(0, std::memory_order_relaxed);
-  owed_acks_total_.store(0, std::memory_order_relaxed);
+  for (ProcState& ps : ps_) {
+    ps.unacked.store(0, std::memory_order_relaxed);
+    ps.owed_acks.store(0, std::memory_order_relaxed);
+    ps.due_ns.store(kNoDue, std::memory_order_relaxed);
+  }
   retransmits_.store(0, std::memory_order_relaxed);
   dup_drops_.store(0, std::memory_order_relaxed);
   acks_sent_.store(0, std::memory_order_relaxed);

@@ -48,11 +48,22 @@
 /// Quiescence integration: in_flight() adds the count of unacked data
 /// messages — transmitted *and* paced — to the inner transport's, so the
 /// machine can declare quiescence neither while a dropped packet still
-/// needs re-shipping nor while pacing holds data back. All channel state
-/// is spinlocked: under the inline transport deliveries (and thus ack
-/// processing) run on the *sender's* thread, so a channel's two ends can
-/// be touched concurrently. No path ever holds two channel locks —
-/// messages are collected under one lock and transmitted after release.
+/// needs re-shipping nor while pacing holds data back. The count is kept
+/// per sending process (see ProcState), so the message path writes no
+/// machine-wide line. All channel state is spinlocked: under the inline
+/// transport deliveries (and thus ack processing) run on the *sender's*
+/// thread, so a channel's two ends can be touched concurrently. No path
+/// ever holds two channel locks — messages are collected under one lock
+/// and transmitted after release.
+///
+/// Pump: poll(p) scans p's channels for due retransmit and ack timers
+/// only once the earliest deadline armed on them (ProcState::due_ns) has
+/// passed. Every write of a nonzero deadline folds it into its owning
+/// process's due_ns, under the channel lock that wrote it; the scan
+/// resets due_ns before it takes any channel lock and re-arms every
+/// deadline still pending, so a deadline armed concurrently (from the
+/// peer's thread, under the inline transport) is never lost. Settling or
+/// postponing a deadline leaves due_ns early, which costs one extra scan.
 
 #include <atomic>
 #include <cstdint>
@@ -131,6 +142,8 @@ class ReliableTransport final : public rt::Transport,
   std::uint64_t debug_srtt_ns(ProcId src, ProcId dst) const;
   double debug_cwnd(ProcId src, ProcId dst) const;
   std::size_t debug_paced(ProcId src, ProcId dst) const;
+  /// The channel's retransmit deadline; 0 when none is armed.
+  std::uint64_t debug_probe_deadline_ns(ProcId src, ProcId dst) const;
 
  private:
   /// A sent-but-unacked data message, held for retransmission. msg shares
@@ -152,8 +165,9 @@ class ReliableTransport final : public rt::Transport,
   /// One directed channel. Sender-side fields are driven by the source's
   /// pump thread (plus ack application, which under the inline transport
   /// runs on the peer's thread); receiver-side fields by whichever thread
-  /// delivers — hence the lock.
-  struct Channel {
+  /// delivers — hence the lock. A line of its own: channels (s, d) and
+  /// (s, d+1) are written by different peers.
+  struct alignas(util::kCacheLine) Channel {
     mutable util::Spinlock mu;
     // Sender side. unacked (transmitted at least once) and paced
     // (admitted, awaiting window space) are each seq-contiguous, and
@@ -182,6 +196,35 @@ class ReliableTransport final : public rt::Transport,
     return ch_[static_cast<std::size_t>(s) *
                    static_cast<std::size_t>(procs_) +
                static_cast<std::size_t>(d)];
+  }
+
+  /// due_ns value meaning "no deadline armed".
+  static constexpr std::uint64_t kNoDue = ~std::uint64_t{0};
+
+  /// One process's share of the reliability state, on a line of its own.
+  /// Written by the process's pump thread, and under the inline
+  /// transport also by the peer threads that deliver to it.
+  struct alignas(util::kCacheLine) ProcState {
+    /// Data messages this process sent that are not yet acked or SACKed,
+    /// transmitted or paced — its share of in_flight().
+    std::atomic<std::uint64_t> unacked{0};
+    /// This process's inbound channels owing a standalone ack.
+    std::atomic<std::uint64_t> owed_acks{0};
+    /// Earliest retransmit or ack deadline armed on this process's
+    /// channels since poll() last scanned them; kNoDue when none. Never
+    /// later than a pending deadline, possibly earlier than any.
+    std::atomic<std::uint64_t> due_ns{kNoDue};
+  };
+
+  /// Fold a channel deadline owned by process p into p's due_ns. Called
+  /// under the lock of the channel whose deadline was just written.
+  void arm(ProcId p, std::uint64_t deadline_ns) noexcept;
+  /// Nothing unacked from p and no ack owed by p: none of p's channels
+  /// has a timer to run, whatever due_ns still holds. A stale read only
+  /// defers a scan to a later poll.
+  bool idle(const ProcState& ps) const noexcept {
+    return ps.unacked.load(std::memory_order_acquire) == 0 &&
+           ps.owed_acks.load(std::memory_order_acquire) == 0;
   }
 
   /// Current retransmit timeout for a channel (lock held by caller).
@@ -219,14 +262,7 @@ class ReliableTransport final : public rt::Transport,
   bool sack_ = true;
   bool adaptive_ = true;
   std::unique_ptr<Channel[]> ch_;
-  /// Unacked data messages, transmitted or paced — the reliability
-  /// layer's contribution to in_flight().
-  std::atomic<std::uint64_t> unacked_total_{0};
-  /// Channels currently owing a standalone ack. Together with
-  /// unacked_total_ this gates poll()/next_due_ns()'s channel scan: an
-  /// idle machine pays two atomic loads per pump iteration, not
-  /// O(procs) spinlocks.
-  std::atomic<std::uint64_t> owed_acks_total_{0};
+  std::vector<ProcState> ps_;
   std::atomic<std::uint64_t> retransmits_{0};
   std::atomic<std::uint64_t> dup_drops_{0};
   std::atomic<std::uint64_t> acks_sent_{0};

@@ -11,26 +11,38 @@
 ///  - window pacing never deadlocking quiescence detection: a
 ///    one-message window forces nearly every send through the pacing
 ///    queue, and the run still completes exactly-once (paced messages
-///    count in in_flight(), so QD cannot fire under them).
+///    count in in_flight(), so QD cannot fire under them);
+///  - the deadline-gated pump: a tail loss that only the retransmit
+///    timer can recover, and next_due_ns() tracking the armed deadline.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/histogram.hpp"
 #include "core/scheme.hpp"
 #include "core/tram_stats.hpp"
 #include "fault/fault_config.hpp"
+#include "fault/fault_schedule.hpp"
+#include "fault/faulty_transport.hpp"
 #include "fault/reliable_transport.hpp"
 #include "fault/reliable_wire.hpp"
 #include "runtime/machine.hpp"
+#include "util/timebase.hpp"
 
 namespace {
 
@@ -229,6 +241,126 @@ TEST(FaultSack, ByteWindowPacesWithoutDeadlock) {
   f.window_bytes = 256;  // far below one framed buffer message
   const core::FaultStats fs = run_lossy(topo, f, ref, "byte window");
   EXPECT_GE(fs.paced_msgs, 1u);
+}
+
+// ---- the deadline-gated pump ----
+
+/// Two processes of one worker each, non-SMP over the modeled fabric:
+/// each worker's progress() is the only thing that runs its process's
+/// reliability timers.
+rt::RuntimeConfig two_proc_lossy(std::uint64_t seed) {
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
+  cfg.dedicated_comm = false;
+  cfg.fault.drop_rate = 0.5;
+  cfg.fault.seed = seed;
+  return cfg;
+}
+
+/// The first seed under which the data message 0 -> 1 (seq 0) is dropped
+/// on its first attempt iff `first_dropped`, survives its second, and the
+/// first standalone ack 1 -> 0 survives. 0 if none below 1000.
+std::uint64_t seed_where_first_attempt(bool first_dropped) {
+  constexpr auto kData = fault::ReliableHeader::kData;
+  constexpr auto kAck = fault::ReliableHeader::kAck;
+  for (std::uint64_t seed = 1; seed < 1000; ++seed) {
+    const fault::FaultSchedule sched(two_proc_lossy(seed).fault);
+    if (sched.fate(0, 1, kData, 0, 0).drop == first_dropped &&
+        !sched.fate(0, 1, kData, 0, 1).drop &&
+        !sched.fate(1, 0, kAck, 0, 0).drop) {
+      return seed;
+    }
+  }
+  return 0;
+}
+
+/// Run main_fn to quiescence, or fail the suite after 20 s instead of
+/// hanging it: a timer the pump never runs leaves a message unacked, and
+/// quiescence never comes.
+void run_with_deadline(rt::Machine& m,
+                       const std::function<void(rt::Worker&)>& main_fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    m.run(main_fn);
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(20)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr,
+                 "no quiescence within 20 s: a reliability timer never "
+                 "ran\n");
+    std::_Exit(1);
+  }
+  runner.join();
+}
+
+/// Worker 0 sends one message to worker 1.
+void send_one(rt::Worker& w, EndpointId ep) {
+  rt::Message msg;
+  msg.endpoint = ep;
+  msg.dst_worker = 1;
+  msg.src_worker = 0;
+  w.send(std::move(msg));
+}
+
+/// Tail loss: the only data message loses its first attempt and nothing
+/// else is ever sent, so no SACK can name the hole and only the
+/// retransmit timer recovers it. The sender's poll() scans its channels
+/// only once an armed deadline is due, so a send that failed to arm one
+/// would leave the message unacked and the run hung.
+TEST(FaultPump, TailLossIsRecoveredByTheTimerAlone) {
+  const std::uint64_t seed = seed_where_first_attempt(/*first_dropped=*/true);
+  ASSERT_NE(seed, 0u);
+  rt::Machine m(util::Topology(2, 1, 1), two_proc_lossy(seed));
+  std::atomic<int> got{0};
+  const EndpointId ep =
+      m.register_endpoint([&](rt::Worker&, rt::Message&&) { ++got; });
+  run_with_deadline(m, [&](rt::Worker& w) {
+    if (w.id() == 0) send_one(w, ep);
+  });
+  EXPECT_EQ(got.load(), 1);  // exactly once
+  const core::FaultStats fs = m.fault_stats();
+  EXPECT_GE(fs.faults_injected_drop, 1u);
+  EXPECT_GE(fs.rto_fires, 1u);
+  EXPECT_EQ(fs.fast_retransmits, 0u);  // nothing arrived out of order
+  EXPECT_EQ(m.reliability()->in_flight(), 0u);
+}
+
+/// next_due_ns() reads the armed deadline instead of scanning channels:
+/// with one send unacked it reports a deadline no later than the
+/// channel's own, and once the ack settles the channel (and the sender
+/// owes no ack) it is the inner transport's value again.
+TEST(FaultPump, NextDueTracksTheRetransmitDeadline) {
+  const std::uint64_t seed =
+      seed_where_first_attempt(/*first_dropped=*/false);
+  ASSERT_NE(seed, 0u);
+  rt::Machine m(util::Topology(2, 1, 1), two_proc_lossy(seed));
+  const fault::ReliableTransport& rel = *m.reliability();
+  const EndpointId ep =
+      m.register_endpoint([](rt::Worker&, rt::Message&&) {});
+  std::uint64_t due_unacked = 0;
+  std::uint64_t probe = 0;
+  bool settled = false;
+  std::uint64_t due_settled = 1;
+  std::uint64_t inner_settled = 0;
+  run_with_deadline(m, [&](rt::Worker& w) {
+    if (w.id() != 0) return;
+    send_one(w, ep);
+    // Worker 0 is its process's only pump and has not polled since the
+    // send, so no ack can have been applied yet.
+    due_unacked = rel.next_due_ns(0);
+    probe = rel.debug_probe_deadline_ns(0, 1);
+    const std::uint64_t deadline = util::now_ns() + 10'000'000'000;
+    while (rel.in_flight() != 0 && util::now_ns() < deadline) w.progress();
+    settled = rel.in_flight() == 0;
+    due_settled = rel.next_due_ns(0);
+    inner_settled = m.fault_layer()->next_due_ns(0);
+  });
+  EXPECT_NE(probe, 0u);
+  EXPECT_NE(due_unacked, 0u);
+  EXPECT_LE(due_unacked, probe);
+  ASSERT_TRUE(settled);
+  EXPECT_EQ(due_settled, inner_settled);
 }
 
 }  // namespace
