@@ -17,6 +17,8 @@
 /// serialization bottleneck exactly as in section III-A.
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -135,13 +137,16 @@ inline bool resolve_proc_counts(const std::string& arg,
 }
 
 /// Parse "8M" / "512K" / "1G" / "4096" into bytes. Returns 0 on any
-/// malformed input (including trailing garbage) — sizes are never
-/// legitimately zero, so callers error out on 0.
+/// malformed input (a sign, trailing garbage, or a size that overflows
+/// 64 bits) — sizes are never legitimately zero, so callers error out
+/// on 0.
 inline std::uint64_t parse_size_bytes(const std::string& s) {
-  if (s.empty()) return 0;
+  // strtoull would accept a sign or leading space and wrap "-1" to 2^64-1.
+  if (s.empty() || s[0] < '0' || s[0] > '9') return 0;
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str()) return 0;
+  if (errno == ERANGE) return 0;
   std::uint64_t mult = 1;
   switch (*end) {
     case 'K': case 'k': mult = 1ull << 10; ++end; break;
@@ -149,7 +154,7 @@ inline std::uint64_t parse_size_bytes(const std::string& s) {
     case 'G': case 'g': mult = 1ull << 30; ++end; break;
     default: break;
   }
-  if (*end != '\0') return 0;
+  if (*end != '\0' || v > UINT64_MAX / mult) return 0;
   return static_cast<std::uint64_t>(v) * mult;
 }
 

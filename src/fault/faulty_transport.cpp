@@ -25,8 +25,8 @@ FaultyTransport::FaultyTransport(rt::Machine& machine,
 void FaultyTransport::dispatch(ProcId src, rt::Message&& m,
                                std::uint64_t extra_delay_ns, SrcState& st) {
   if (extra_delay_ns == 0) {
-    // Deliberately lock-free: the inline transport delivers synchronously
-    // and the receiver's ack processing can recurse back into this layer.
+    // Outside st.mu: no lock is held while the inner transport charges
+    // its send cost and queues the packet on the fabric.
     inner_->send(src, std::move(m));
     return;
   }

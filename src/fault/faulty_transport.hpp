@@ -13,15 +13,13 @@
 /// earliest hold feeds next_due_ns() so idle pump threads sleep exactly
 /// until the release.
 ///
-/// Threading: poll(p) is only ever invoked from process p's pumping
-/// thread, but send(p, ...) may arrive from ANY thread — the reliability
-/// layer above fast-retransmits and drains its pacing queue from whatever
-/// thread delivered the triggering ack (the peer's thread under the
-/// inline transport). The per-source state (holding heap, attempt
-/// counters) is therefore guarded by a per-source spinlock; inner sends
-/// happen outside it so the inline transport's synchronous delivery
-/// recursion can never self-deadlock. Aggregate counters stay atomic
-/// (read by the QD thread and reporters).
+/// Threading: send(p, ...) and poll(p) both run on process p's pump
+/// thread — the reliability layer above fast-retransmits and drains its
+/// pacing queue from the delivery of the triggering ack, which p's own
+/// poll runs. The per-source state (holding heap, attempt counters)
+/// keeps its spinlock until the bounded-exhaustive Sync policy covers it;
+/// inner sends happen outside it. Aggregate counters stay atomic (read
+/// by the QD thread and reporters).
 
 #include <atomic>
 #include <cstdint>

@@ -253,9 +253,9 @@ void ReliableTransport::send(ProcId src_proc, rt::Message&& m) {
   {
     // This transmit carries the reverse channel's ack — cancel the
     // standalone one it owed, unless data arrived since the stamp above.
-    // Under the inline transport that arrival runs on the peer's thread
-    // and does not re-arm an ack already owed, so cancelling would leave
-    // it unacked until the retransmit timer fires.
+    // Arrivals run on this same pump thread, so none lands in between;
+    // should one ever, it would not re-arm the ack already owed, and
+    // cancelling past it would leave it unacked until an RTO fires.
     Channel& rev = ch(dst, src_proc);
     std::lock_guard<util::Spinlock> g(rev.mu);
     if (rev.owes_ack && rev.cum == h.ack && rev.ooo.size() == ooo_at_stamp) {

@@ -50,20 +50,26 @@
 /// machine can declare quiescence neither while a dropped packet still
 /// needs re-shipping nor while pacing holds data back. The count is kept
 /// per sending process (see ProcState), so the message path writes no
-/// machine-wide line. All channel state is spinlocked: under the inline
-/// transport deliveries (and thus ack processing) run on the *sender's*
-/// thread, so a channel's two ends can be touched concurrently. No path
-/// ever holds two channel locks — messages are collected under one lock
-/// and transmitted after release.
+/// machine-wide line.
+///
+/// Threading: process p's send(), poll() and inbound delivery (on_inbound,
+/// run from the transport's poll) all happen on p's one pump thread — its
+/// comm thread in SMP mode, its worker in non-SMP mode. Other threads
+/// only read counters. So each side of channel (s, d) has one writer: s's
+/// pump drives the sender side, d's pump the receiver side. Each channel
+/// keeps its spinlock until the bounded-exhaustive Sync policy covers this
+/// state. No path ever holds two channel locks — messages are collected
+/// under one lock and transmitted after release.
 ///
 /// Pump: poll(p) scans p's channels for due retransmit and ack timers
 /// only once the earliest deadline armed on them (ProcState::due_ns) has
 /// passed. Every write of a nonzero deadline folds it into its owning
-/// process's due_ns, under the channel lock that wrote it; the scan
-/// resets due_ns before it takes any channel lock and re-arms every
-/// deadline still pending, so a deadline armed concurrently (from the
-/// peer's thread, under the inline transport) is never lost. Settling or
-/// postponing a deadline leaves due_ns early, which costs one extra scan.
+/// process's due_ns, under the channel lock that wrote it. Only p's pump
+/// arms p's deadlines, and it also runs the scan; the scan resets due_ns
+/// before it takes any channel lock and re-arms every deadline still
+/// pending, so one armed by the scan's own sends is never lost. Settling
+/// or postponing a deadline leaves due_ns early, which costs one extra
+/// scan.
 
 #include <atomic>
 #include <cstdint>
@@ -162,11 +168,11 @@ class ReliableTransport final : public rt::Transport,
     rt::Message msg;
   };
 
-  /// One directed channel. Sender-side fields are driven by the source's
-  /// pump thread (plus ack application, which under the inline transport
-  /// runs on the peer's thread); receiver-side fields by whichever thread
-  /// delivers — hence the lock. A line of its own: channels (s, d) and
-  /// (s, d+1) are written by different peers.
+  /// One directed channel. Sender-side fields (sends, ack application,
+  /// retransmits, pacing) are driven by the source's pump thread, and
+  /// receiver-side fields (dedup, owed ack) by the destination's. A line
+  /// of its own: channels (s, d) and (s, d+1) are written by different
+  /// peers.
   struct alignas(util::kCacheLine) Channel {
     mutable util::Spinlock mu;
     // Sender side. unacked (transmitted at least once) and paced
@@ -202,8 +208,7 @@ class ReliableTransport final : public rt::Transport,
   static constexpr std::uint64_t kNoDue = ~std::uint64_t{0};
 
   /// One process's share of the reliability state, on a line of its own.
-  /// Written by the process's pump thread, and under the inline
-  /// transport also by the peer threads that deliver to it.
+  /// Written only by the process's pump thread; read from anywhere.
   struct alignas(util::kCacheLine) ProcState {
     /// Data messages this process sent that are not yet acked or SACKed,
     /// transmitted or paced — its share of in_flight().

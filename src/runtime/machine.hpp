@@ -61,8 +61,7 @@ class Machine {
 
   const util::Topology& topology() const noexcept { return topo_; }
   const RuntimeConfig& config() const noexcept { return cfg_; }
-  /// The simulated interconnect (driven only by the kModeledFabric
-  /// transport; idle under kInline).
+  /// The simulated interconnect under the modeled-fabric transport.
   net::Fabric& fabric() noexcept { return fabric_; }
   /// The transport carrying all cross-process traffic (see transport.hpp).
   /// With cfg.fault enabled this is the reliability decorator chain;

@@ -1,6 +1,5 @@
 #include "runtime/transport.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 #include "net/fabric.hpp"
@@ -11,16 +10,6 @@
 #include "util/timebase.hpp"
 
 namespace tram::rt {
-
-void deliver_to_process(Machine& machine, Process& proc, Message&& m) {
-  // One predictable branch on the fault-free path; the reliability layer
-  // (src/fault/) dedups and strips its frame here when installed.
-  if (DeliveryInterceptor* icpt = machine.delivery_interceptor()) {
-    if (!icpt->on_inbound(proc, m)) return;
-  }
-  proc.worker(machine.topology().local_rank(m.dst_worker))
-      .enqueue(std::move(m));
-}
 
 ProcId message_dst_proc(const Machine& machine, const Message& m) {
   return m.dst_worker == kInvalidWorker
@@ -98,7 +87,13 @@ std::size_t ModeledFabricTransport::poll(Process& proc) {
                        : p.dst_worker;
     m.payload = std::move(p.payload);
     m.extras = std::move(p.extras);
-    deliver_to_process(machine_, proc, std::move(m));
+    // One predictable branch on the fault-free path; the reliability layer
+    // (src/fault/) dedups and strips its frame here when installed.
+    DeliveryInterceptor* const icpt = machine_.delivery_interceptor();
+    if (icpt == nullptr || icpt->on_inbound(proc, m)) {
+      proc.worker(machine_.topology().local_rank(m.dst_worker))
+          .enqueue(std::move(m));
+    }
     ++delivered;
     now = util::now_ns();
   }
@@ -135,68 +130,6 @@ std::uint64_t ModeledFabricTransport::total_forwarded() const {
 void ModeledFabricTransport::reset() {
   for (auto& st : states_) st->forwarded.store(0, std::memory_order_relaxed);
   fabric_.reset();
-}
-
-// ---- InlineTransport ----
-
-InlineTransport::InlineTransport(Machine& machine)
-    : machine_(machine),
-      counters_(static_cast<std::size_t>(machine.topology().procs())) {}
-
-void InlineTransport::send(ProcId src_proc, Message&& m) {
-  const ProcId dst = message_dst_proc(machine_, m);
-  if (dst < 0 || dst >= machine_.topology().procs()) {
-    throw std::out_of_range("InlineTransport::send: bad dst_proc");
-  }
-  Counters& c = counters_[static_cast<std::size_t>(src_proc)];
-  c.messages.fetch_add(1, std::memory_order_relaxed);
-  if (m.hops > 0) c.forwarded.fetch_add(1, std::memory_order_relaxed);
-  // Charge the same fixed header as the fabric so byte counters compare.
-  c.bytes.fetch_add(m.payload_bytes() + net::Packet::kHeaderBytes,
-                    std::memory_order_relaxed);
-  Process& proc = machine_.process(dst);
-  if (m.dst_worker == kInvalidWorker) {
-    m.dst_worker = proc.pick_delivery_worker();
-  }
-  deliver_to_process(machine_, proc, std::move(m));
-}
-
-std::size_t InlineTransport::poll(Process&) { return 0; }
-
-std::uint64_t InlineTransport::next_due_ns(ProcId) const { return 0; }
-
-std::uint64_t InlineTransport::in_flight() const { return 0; }
-
-std::uint64_t InlineTransport::total_messages() const {
-  std::uint64_t total = 0;
-  for (const Counters& c : counters_) {
-    total += c.messages.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t InlineTransport::total_bytes() const {
-  std::uint64_t total = 0;
-  for (const Counters& c : counters_) {
-    total += c.bytes.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t InlineTransport::total_forwarded() const {
-  std::uint64_t total = 0;
-  for (const Counters& c : counters_) {
-    total += c.forwarded.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void InlineTransport::reset() {
-  for (Counters& c : counters_) {
-    c.messages.store(0, std::memory_order_relaxed);
-    c.bytes.store(0, std::memory_order_relaxed);
-    c.forwarded.store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace tram::rt

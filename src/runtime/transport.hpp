@@ -7,19 +7,14 @@
 /// process" and "a Message lands in a destination worker's inbox". It
 /// replaces the seam that used to be split between net::Fabric, the comm
 /// thread's pump_egress/pump_ingress, and the free helpers
-/// forward_to_fabric/deliver_packet. Two implementations:
-///
-///  - ModeledFabricTransport: today's cost-model path. send() charges the
-///    calling thread the per-message/per-byte comm cost and injects a
-///    net::Packet into the fabric; poll() drains the fabric ingress into a
-///    per-process reorder heap keyed by modeled arrival time and delivers
-///    everything that is due.
-///  - InlineTransport: zero-delay direct delivery — send() routes the
-///    message straight into the destination worker's inbox with no cost
-///    model, no fabric, and no reorder heap. This replaces the
-///    CostModel::zero() special case for deterministic tests, and is the
-///    template for future real backends (shared-memory rings, RDMA): a
-///    backend only has to implement this interface.
+/// forward_to_fabric/deliver_packet. ModeledFabricTransport is the one
+/// base implementation: send() charges the calling thread the
+/// per-message/per-byte comm cost and injects a net::Packet into the
+/// fabric; poll() drains the fabric ingress into a per-process reorder
+/// heap keyed by modeled arrival time and delivers everything that is
+/// due. The fault layer (src/fault/) decorates it through this same
+/// interface, and a real backend (shared-memory rings, RDMA) would only
+/// have to implement it too.
 ///
 /// Callers: the comm thread (SMP mode), or in non-SMP mode the process's
 /// one worker, which sends inline and polls at the top of every
@@ -81,7 +76,7 @@ class Transport {
   virtual void reset() = 0;
 };
 
-/// Hook between a transport's delivery tail and the worker inbox. The
+/// Hook between the transport's delivery tail and the worker inbox. The
 /// reliability layer (src/fault/) implements it to dedup retransmitted
 /// data, record acks, and consume protocol control traffic before a
 /// message is enqueued; when no interceptor is installed (the default,
@@ -90,16 +85,11 @@ class DeliveryInterceptor {
  public:
   virtual ~DeliveryInterceptor() = default;
   /// Inspect (and possibly rewrite, e.g. strip a frame off) an inbound
-  /// message before it is enqueued. Runs on the delivering transport's
-  /// thread. Return false to consume the message — a duplicate or a
+  /// message before it is enqueued. Runs on proc's pump thread, inside
+  /// the transport's poll(). Return false to consume the message — a duplicate or a
   /// control message that must not reach an endpoint handler.
   virtual bool on_inbound(Process& proc, Message& m) = 0;
 };
-
-/// Shared delivery tail: run the machine's delivery interceptor (if any),
-/// then enqueue the message into its destination worker's inbox.
-/// m.dst_worker must already be concrete.
-void deliver_to_process(Machine& machine, Process& proc, Message&& m);
 
 /// Resolve a message's destination process (direct or process-addressed).
 ProcId message_dst_proc(const Machine& machine, const Message& m);
@@ -133,36 +123,6 @@ class ModeledFabricTransport final : public Transport {
   Machine& machine_;
   net::Fabric& fabric_;
   std::vector<std::unique_ptr<ProcState>> states_;
-};
-
-/// Zero-delay direct delivery: deterministic tests and an existence proof
-/// that the runtime is transport-agnostic.
-class InlineTransport final : public Transport {
- public:
-  explicit InlineTransport(Machine& machine);
-
-  void send(ProcId src_proc, Message&& m) override;
-  std::size_t poll(Process& proc) override;
-  std::uint64_t next_due_ns(ProcId p) const override;
-  std::uint64_t in_flight() const override;
-  std::uint64_t total_messages() const override;
-  std::uint64_t total_bytes() const override;
-  std::uint64_t total_forwarded() const override;
-  void reset() override;
-
- private:
-  /// Traffic out of one source process, on a line of its own: written by
-  /// whichever thread sends for that process (its pumping thread, or a
-  /// peer's acking from a delivery), so the message path shares no
-  /// machine-wide line. The totals sum over processes.
-  struct alignas(util::kCacheLine) Counters {
-    std::atomic<std::uint64_t> messages{0};
-    std::atomic<std::uint64_t> bytes{0};
-    std::atomic<std::uint64_t> forwarded{0};
-  };
-
-  Machine& machine_;
-  std::vector<Counters> counters_;
 };
 
 }  // namespace tram::rt

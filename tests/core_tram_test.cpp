@@ -264,7 +264,7 @@ TEST_P(TramSchemes, SelfSendDelivers) {
 TEST_P(TramSchemes, ExactCountersForSeededStream) {
   const Param p = GetParam();
   Machine machine(Topology(p.nodes, p.ppn, p.wpp),
-                  RuntimeConfig::inline_testing());
+                  RuntimeConfig::testing());
   const auto& topo = machine.topology();
   const int W = topo.workers();
   const int P = topo.procs();
@@ -495,7 +495,7 @@ static_assert(sizeof(core::WireEntry<U32Pair>) == 12);
 /// a two-process machine, shipped in g-item messages plus one flush.
 template <typename Item, bool kTrack>
 std::uint64_t one_stream_fabric_bytes(std::uint64_t k, std::uint32_t g) {
-  Machine machine(Topology(2, 1, 1), RuntimeConfig::inline_testing());
+  Machine machine(Topology(2, 1, 1), RuntimeConfig::testing());
   TramConfig cfg;
   cfg.scheme = Scheme::WPs;
   cfg.buffer_items = g;

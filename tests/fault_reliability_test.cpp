@@ -1,9 +1,9 @@
 /// End-to-end proof that the reliability protocol (src/fault/) restores
 /// exactly-once delivery and bit-for-bit results on a faulty fabric:
 /// histogram bin counts, SSSP FNV distance hashes, and PHOLD event counts
-/// across {direct WsP, Mesh2D, Mesh3D} x {drop 5%, dup 5%, drop+dup+delay}
-/// on both transports, each lossy run observing at least one injected
-/// fault and the matching recovery (retransmit / dup-drop). Plus the SMP
+/// across {direct WsP, Mesh2D, Mesh3D} x {drop 5%, dup 5%, drop+dup+delay},
+/// each lossy run observing at least one injected fault and the matching
+/// recovery (retransmit / dup-drop). Plus the SMP
 /// sorted-scatter path (frame stripping in front of RoutedSortedHeader)
 /// and a same-seed replay producing identical results.
 
@@ -49,20 +49,9 @@ std::vector<FaultMode> fault_modes() {
 const std::vector<core::Scheme> kSchemes = {
     core::Scheme::WsP, core::Scheme::Mesh2D, core::Scheme::Mesh3D};
 
-struct TransportCase {
-  const char* name;
-  rt::TransportKind kind;
-};
-const std::vector<TransportCase> kTransports = {
-    {"ModeledFabric", rt::TransportKind::kModeledFabric},
-    {"Inline", rt::TransportKind::kInline}};
-
-/// Non-SMP deterministic-cost config with the given transport + faults.
-rt::RuntimeConfig faulty_runtime(rt::TransportKind kind,
-                                 const fault::FaultConfig& f) {
-  rt::RuntimeConfig cfg = kind == rt::TransportKind::kInline
-                              ? rt::RuntimeConfig::inline_testing()
-                              : rt::RuntimeConfig::testing();
+/// Non-SMP deterministic-cost config with the given faults.
+rt::RuntimeConfig faulty_runtime(const fault::FaultConfig& f) {
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   cfg.fault = f;
   return cfg;
@@ -104,8 +93,7 @@ TEST(FaultReliability, HistogramExactlyOnceAndBitForBit) {
   // Fault-free reference: the full distributed table, per worker.
   std::vector<std::vector<std::uint64_t>> ref;
   {
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, {}));
+    rt::Machine machine(topo, faulty_runtime({}));
     apps::HistogramApp app(machine, histogram_params(core::Scheme::WsP));
     const auto res = app.run();
     ASSERT_TRUE(res.verified);
@@ -114,24 +102,20 @@ TEST(FaultReliability, HistogramExactlyOnceAndBitForBit) {
     }
   }
 
-  for (const auto& transport : kTransports) {
-    for (const auto scheme : kSchemes) {
-      for (const auto& mode : fault_modes()) {
-        const std::string what = std::string("histogram ") +
-                                 transport.name + " " +
-                                 core::to_string(scheme) + " " + mode.name;
-        rt::Machine machine(topo, faulty_runtime(transport.kind, mode.cfg));
-        apps::HistogramApp app(machine, histogram_params(scheme));
-        const auto res = app.run();
-        EXPECT_TRUE(res.verified) << what;
-        EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered)
-            << what;
-        for (WorkerId w = 0; w < topo.workers(); ++w) {
-          EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
-              << what << " worker " << w;
-        }
-        expect_faults_observed(machine.fault_stats(), mode.cfg, what);
+  for (const auto scheme : kSchemes) {
+    for (const auto& mode : fault_modes()) {
+      const std::string what = std::string("histogram ") +
+                               core::to_string(scheme) + " " + mode.name;
+      rt::Machine machine(topo, faulty_runtime(mode.cfg));
+      apps::HistogramApp app(machine, histogram_params(scheme));
+      const auto res = app.run();
+      EXPECT_TRUE(res.verified) << what;
+      EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+      for (WorkerId w = 0; w < topo.workers(); ++w) {
+        EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
+            << what << " worker " << w;
       }
+      expect_faults_observed(machine.fault_stats(), mode.cfg, what);
     }
   }
 }
@@ -167,30 +151,25 @@ TEST(FaultReliability, SsspDistanceHashBitForBit) {
   std::uint64_t ref_hash = 0;
   {
     params.tram.scheme = core::Scheme::WsP;
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, {}));
+    rt::Machine machine(topo, faulty_runtime({}));
     apps::SsspApp app(machine, params);
     const auto res = app.run();
     ASSERT_TRUE(res.verified);
     ref_hash = distance_hash(app, g);
   }
 
-  for (const auto& transport : kTransports) {
-    for (const auto scheme : kSchemes) {
-      for (const auto& mode : fault_modes()) {
-        const std::string what = std::string("sssp ") + transport.name +
-                                 " " + core::to_string(scheme) + " " +
-                                 mode.name;
-        params.tram.scheme = scheme;
-        rt::Machine machine(topo, faulty_runtime(transport.kind, mode.cfg));
-        apps::SsspApp app(machine, params);
-        const auto res = app.run();
-        EXPECT_TRUE(res.verified) << what;  // matches Dijkstra
-        EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered)
-            << what;
-        EXPECT_EQ(distance_hash(app, g), ref_hash) << what;
-        expect_faults_observed(machine.fault_stats(), mode.cfg, what);
-      }
+  for (const auto scheme : kSchemes) {
+    for (const auto& mode : fault_modes()) {
+      const std::string what = std::string("sssp ") +
+                               core::to_string(scheme) + " " + mode.name;
+      params.tram.scheme = scheme;
+      rt::Machine machine(topo, faulty_runtime(mode.cfg));
+      apps::SsspApp app(machine, params);
+      const auto res = app.run();
+      EXPECT_TRUE(res.verified) << what;  // matches Dijkstra
+      EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+      EXPECT_EQ(distance_hash(app, g), ref_hash) << what;
+      expect_faults_observed(machine.fault_stats(), mode.cfg, what);
     }
   }
 }
@@ -215,28 +194,23 @@ TEST(FaultReliability, PholdEventCountBitForBit) {
 
   std::uint64_t ref_events = 0;
   {
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, {}));
+    rt::Machine machine(topo, faulty_runtime({}));
     apps::PholdApp app(machine, phold_params(core::Scheme::WsP));
     const auto res = app.run();
     ref_events = res.events_processed;
     ASSERT_GT(ref_events, 0u);
   }
 
-  for (const auto& transport : kTransports) {
-    for (const auto scheme : kSchemes) {
-      for (const auto& mode : fault_modes()) {
-        const std::string what = std::string("phold ") + transport.name +
-                                 " " + core::to_string(scheme) + " " +
-                                 mode.name;
-        rt::Machine machine(topo, faulty_runtime(transport.kind, mode.cfg));
-        apps::PholdApp app(machine, phold_params(scheme));
-        const auto res = app.run();
-        EXPECT_EQ(res.events_processed, ref_events) << what;
-        EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered)
-            << what;
-        expect_faults_observed(machine.fault_stats(), mode.cfg, what);
-      }
+  for (const auto scheme : kSchemes) {
+    for (const auto& mode : fault_modes()) {
+      const std::string what = std::string("phold ") +
+                               core::to_string(scheme) + " " + mode.name;
+      rt::Machine machine(topo, faulty_runtime(mode.cfg));
+      apps::PholdApp app(machine, phold_params(scheme));
+      const auto res = app.run();
+      EXPECT_EQ(res.events_processed, ref_events) << what;
+      EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+      expect_faults_observed(machine.fault_stats(), mode.cfg, what);
     }
   }
 }
@@ -263,31 +237,25 @@ TEST(FaultReliability, SmpSortedScatterSurvivesFaults) {
     }
   }
 
-  for (const auto& transport : kTransports) {
-    fault::FaultConfig f;
-    f.drop_rate = 0.04;
-    f.dup_rate = 0.04;
-    f.delay_ns = 30'000;
-    f.delay_rate = 0.5;
-    f.seed = 21;
-    rt::RuntimeConfig cfg = transport.kind == rt::TransportKind::kInline
-                                ? rt::RuntimeConfig::inline_testing()
-                                : rt::RuntimeConfig::testing();
-    cfg.fault = f;  // SMP: dedicated comm threads drive the protocol
-    const std::string what =
-        std::string("smp histogram Mesh2D ") + transport.name;
-    rt::Machine machine(topo, cfg);
-    apps::HistogramApp app(machine,
-                           histogram_params(core::Scheme::Mesh2D));
-    const auto res = app.run();
-    EXPECT_TRUE(res.verified) << what;
-    EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
-    for (WorkerId w = 0; w < topo.workers(); ++w) {
-      EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
-          << what << " worker " << w;
-    }
-    expect_faults_observed(machine.fault_stats(), f, what);
+  fault::FaultConfig f;
+  f.drop_rate = 0.04;
+  f.dup_rate = 0.04;
+  f.delay_ns = 30'000;
+  f.delay_rate = 0.5;
+  f.seed = 21;
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
+  cfg.fault = f;  // SMP: dedicated comm threads drive the protocol
+  const std::string what = "smp histogram Mesh2D";
+  rt::Machine machine(topo, cfg);
+  apps::HistogramApp app(machine, histogram_params(core::Scheme::Mesh2D));
+  const auto res = app.run();
+  EXPECT_TRUE(res.verified) << what;
+  EXPECT_EQ(res.tram.items_inserted, res.tram.items_delivered) << what;
+  for (WorkerId w = 0; w < topo.workers(); ++w) {
+    EXPECT_EQ(app.table_slice(w), ref[static_cast<std::size_t>(w)])
+        << what << " worker " << w;
   }
+  expect_faults_observed(machine.fault_stats(), f, what);
 }
 
 // ---- same seed, same results ----
@@ -310,8 +278,7 @@ TEST(FaultReliability, SameSeedReplaysSameResults) {
 
   auto run_once = [&](std::vector<std::vector<std::uint64_t>>& tables,
                       core::FaultStats& fs) {
-    rt::Machine machine(
-        topo, faulty_runtime(rt::TransportKind::kInline, f));
+    rt::Machine machine(topo, faulty_runtime(f));
     apps::HistogramApp app(machine, histogram_params(core::Scheme::WsP));
     const auto res = app.run();
     ASSERT_TRUE(res.verified);

@@ -104,7 +104,7 @@ apps::HistogramParams histogram_params() {
 
 std::vector<std::vector<std::uint64_t>> reference_tables(
     const util::Topology& topo) {
-  rt::RuntimeConfig cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   rt::Machine machine(topo, cfg);
   apps::HistogramApp app(machine, histogram_params());
@@ -124,7 +124,7 @@ core::FaultStats run_lossy(const util::Topology& topo,
                            const std::vector<std::vector<std::uint64_t>>& ref,
                            const std::string& what,
                            std::uint64_t* srtt_out = nullptr) {
-  rt::RuntimeConfig cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   cfg.fault = f;
   rt::Machine machine(topo, cfg);

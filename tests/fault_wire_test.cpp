@@ -162,7 +162,7 @@ TEST(FaultConfig, RejectsUnrecoverableRates) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   // And the machine enforces it at construction.
-  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.fault.drop_rate = 0.95;
   EXPECT_THROW(rt::Machine(util::Topology(2, 1, 1), rt_cfg),
                std::invalid_argument);
@@ -201,7 +201,7 @@ TEST(FaultConfig, RejectsBadCongestionKnobs) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 
   // The machine rejects them at construction just like the rates.
-  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.fault.dup_rate = 0.1;
   rt_cfg.fault.window_min = 0;
   EXPECT_THROW(rt::Machine(util::Topology(2, 1, 1), rt_cfg),
@@ -227,7 +227,7 @@ TEST(FaultConfig, AllZeroLeavesTransportUndecorated) {
   EXPECT_EQ(fs.acks_sent, 0u);
 
   // A nonzero config installs the pair — they only ever come together.
-  rt::RuntimeConfig faulty_cfg = rt::RuntimeConfig::inline_testing();
+  rt::RuntimeConfig faulty_cfg = rt::RuntimeConfig::testing();
   faulty_cfg.fault.dup_rate = 0.1;
   rt::Machine faulty(util::Topology(2, 1, 1), faulty_cfg);
   EXPECT_NE(faulty.fault_layer(), nullptr);

@@ -277,7 +277,7 @@ ExchangeResult run_exchange(core::Scheme scheme, const util::Topology& topo,
   return res;
 }
 
-TEST(RoutedDomain, DeliversExactlyOnceSmpModeledFabric) {
+TEST(RoutedDomain, DeliversExactlyOnceSmp) {
   // 8 workers over 4 processes; both mesh shapes.
   run_exchange(core::Scheme::Mesh2D, util::Topology(2, 2, 2),
                rt::RuntimeConfig::testing());
@@ -285,23 +285,12 @@ TEST(RoutedDomain, DeliversExactlyOnceSmpModeledFabric) {
                rt::RuntimeConfig::testing());
 }
 
-TEST(RoutedDomain, DeliversExactlyOnceSmpInline) {
-  run_exchange(core::Scheme::Mesh2D, util::Topology(2, 2, 2),
-               rt::RuntimeConfig::inline_testing());
-  run_exchange(core::Scheme::Mesh3D, util::Topology(2, 2, 2),
-               rt::RuntimeConfig::inline_testing());
-}
-
 TEST(RoutedDomain, DeliversExactlyOnceNonSmp) {
-  auto fabric = rt::RuntimeConfig::testing();
-  fabric.dedicated_comm = false;
-  auto inline_cfg = rt::RuntimeConfig::inline_testing();
-  inline_cfg.dedicated_comm = false;
+  auto cfg = rt::RuntimeConfig::testing();
+  cfg.dedicated_comm = false;
   const util::Topology topo(8, 1, 1);  // 8 single-worker processes
-  run_exchange(core::Scheme::Mesh2D, topo, fabric);
-  run_exchange(core::Scheme::Mesh3D, topo, fabric);
-  run_exchange(core::Scheme::Mesh2D, topo, inline_cfg);
-  run_exchange(core::Scheme::Mesh3D, topo, inline_cfg);
+  run_exchange(core::Scheme::Mesh2D, topo, cfg);
+  run_exchange(core::Scheme::Mesh3D, topo, cfg);
 }
 
 /// With one worker per process every routed slot ships its slab whole or
@@ -342,7 +331,7 @@ TEST(RoutedDomain, SubViewForwardingDominatesSmpMesh3D) {
 
 TEST(RoutedDomain, ExplicitDimsHonored) {
   rt::Machine machine(util::Topology(6, 1, 1),
-                      rt::RuntimeConfig::inline_testing());
+                      rt::RuntimeConfig::testing());
   core::TramConfig cfg;
   cfg.scheme = core::Scheme::Mesh2D;
   cfg.route_dims = {3, 2, 0};
@@ -364,7 +353,7 @@ TEST(RoutedDomain, ExplicitDimsHonored) {
 
 TEST(RoutedDomain, RejectsUnsupportedConfigKnobs) {
   rt::Machine machine(util::Topology(4, 1, 1),
-                      rt::RuntimeConfig::inline_testing());
+                      rt::RuntimeConfig::testing());
   const auto nop = [](rt::Worker&, const std::uint64_t&) {};
   core::TramConfig cfg;
   cfg.scheme = core::Scheme::Mesh2D;
@@ -384,7 +373,7 @@ TEST(RoutedDomain, RejectsUnsupportedConfigKnobs) {
 /// from its source in k dimensions is re-aggregated k-1 times — d-1 for
 /// antipodal traffic. The counters must match the closed form exactly.
 TEST(RoutedDomain, ForwardedHopCountersMatchMesh) {
-  auto cfg = rt::RuntimeConfig::inline_testing();
+  auto cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   const int P = 16;
   const util::Topology topo(P, 1, 1);
@@ -421,7 +410,7 @@ TEST(RoutedDomain, ForwardedHopCountersMatchMesh) {
 /// The acceptance bound: at 64 virtual processes, a routed source worker
 /// holds O(d*P^(1/d)) live buffers where direct WPs holds O(P).
 TEST(RoutedDomain, LiveBufferBoundAt64Processes) {
-  auto cfg = rt::RuntimeConfig::inline_testing();
+  auto cfg = rt::RuntimeConfig::testing();
   cfg.dedicated_comm = false;
   const int P = 64;
   const util::Topology topo(P, 1, 1);
@@ -475,7 +464,7 @@ TEST(RoutedDomain, LiveBufferBoundAt64Processes) {
 /// Latency stamps survive multi-hop forwarding: delivered latency is
 /// measured from the original insert, not the last hop.
 TEST(RoutedDomain, LatencyTracksAcrossHops) {
-  auto rt_cfg = rt::RuntimeConfig::inline_testing();
+  auto rt_cfg = rt::RuntimeConfig::testing();
   rt_cfg.dedicated_comm = false;
   rt::Machine machine(util::Topology(9, 1, 1), rt_cfg);
   core::TramConfig cfg;
