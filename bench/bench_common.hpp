@@ -30,6 +30,7 @@
 #include "core/tram_stats.hpp"
 #include "fault/fault_config.hpp"
 #include "net/cost_model.hpp"
+#include "route/virtual_mesh.hpp"
 #include "runtime/config.hpp"
 #include "runtime/machine.hpp"
 #include "trace/trace.hpp"
@@ -46,7 +47,8 @@ struct BenchOptions {
   std::int64_t trials = 3;
   bool csv = false;
   /// When nonempty, also write results as a JSON array to this path
-  /// (see JsonReporter; benches with a perf trajectory set a default).
+  /// (see JsonReporter; benches with a committed BENCH_*.json set a
+  /// default).
   std::string json;
   /// When nonempty, enable the tracing layer (src/trace/) and write the
   /// merged Chrome trace-event JSON here when the bench finishes (the
@@ -65,7 +67,8 @@ struct BenchOptions {
   bool parse(int argc, char** argv, const std::string& what) {
     util::Cli cli(what);
     cli.add_flag("quick", &quick, "run a reduced sweep (also TRAM_QUICK=1)");
-    cli.add_int("trials", &trials, "timed trials per configuration");
+    cli.add_int("trials", &trials,
+                "trials per configuration, after one warm-up run");
     cli.add_flag("csv", &csv, "also print CSV rows");
     cli.add_string("json", &json, "write a JSON result array to this path");
     cli.add_string("trace", &trace,
@@ -196,43 +199,14 @@ struct FaultOptions {
   }
 };
 
-/// One configuration's result in a bench sweep, as serialized by
-/// JsonReporter — the machine-readable perf trajectory next to the
-/// human-readable table.
-struct JsonRow {
-  std::string scheme;    // aggregation scheme ("WPs", "Mesh2D", ...)
-  std::string topology;  // machine shape ("4n x 2p x 8w")
-  std::string mesh;      // virtual mesh extents ("8x8"; "-" for direct)
-  double ns_per_item = 0.0;
-  std::uint64_t messages = 0;   // fabric-level (aggregated) messages
-  std::uint64_t bytes = 0;      // fabric-level bytes
-  std::uint64_t forwarded = 0;  // messages re-shipped by intermediates
-  std::uint64_t sorted = 0;     // pre-sorted last-hop (fast path) messages
-  std::uint64_t subviews = 0;   // final-hop segments handed on zero-copy
-  /// Forwarded bytes memcpy'd into intermediate slot buffers (0 on the
-  /// wpp==1 zero-copy path) vs. staged as refcounted sub-views.
-  std::uint64_t fwd_copy_bytes = 0;
-  std::uint64_t fwd_subview_bytes = 0;
-  /// Worst-case bytes pinned in staged forward runs on any one worker
-  /// (the sub-view retention high-water; 0 for direct schemes).
-  std::uint64_t max_staged_fwd_bytes = 0;
-  std::uint64_t max_buffers = 0;  // live source buffers, worst worker
-  /// Fault/reliability counters (src/fault/); all zero when the run was
-  /// fault-free.
-  core::FaultStats faults;
-  /// Extra bench-specific fields, pre-rendered as JSON ("\"k\": v, ...");
-  /// spliced into the row object verbatim when nonempty.
-  std::string extra_json;
-  bool verified = true;
-};
-
-/// The counter slice shared by every routed app bench: the app point
-/// structs (HistoPoint / SsspPoint / PholdPoint / ShufflePoint) inherit
-/// it and add their app-specific fields, so a new app cannot fork the
-/// copy-paste again. capture() fills it from the pieces every app result
-/// carries.
-struct RoutedPointCounters {
-  std::uint64_t tram_messages = 0;  // buffers shipped
+/// The counters every routed bench reports per (scheme, scale) cell. The
+/// app point structs (HistoPoint / SsspPoint / PholdPoint / ShufflePoint /
+/// SweepPoint) inherit it and add their app-specific fields; a JsonRow
+/// embeds it. capture() fills it from the pieces every app result carries.
+struct RoutedCounters {
+  std::uint64_t tram_messages = 0;    // buffers shipped
+  std::uint64_t fabric_messages = 0;  // fabric-level (aggregated) messages
+  std::uint64_t fabric_bytes = 0;
   /// Messages re-shipped by routing intermediates (0 for direct schemes).
   std::uint64_t forwarded_messages = 0;
   /// Routed last-hop messages shipped pre-sorted (the zero-copy scatter
@@ -247,8 +221,6 @@ struct RoutedPointCounters {
   std::uint64_t fwd_subview_bytes = 0;
   /// Worst-case staged-forward retention on any one worker (bytes).
   std::uint64_t max_staged_fwd_bytes = 0;
-  std::uint64_t fabric_messages = 0;
-  std::uint64_t fabric_bytes = 0;
   /// Live source-side buffers on the worst worker (O(N) direct,
   /// O(d*N^(1/d)) routed).
   std::uint64_t max_reserved_buffers = 0;
@@ -259,77 +231,45 @@ struct RoutedPointCounters {
                const rt::Machine::RunResult& run, std::uint64_t max_reserved,
                const core::FaultStats& f) {
     tram_messages = tram.msgs_shipped;
+    fabric_messages = run.fabric_messages;
+    fabric_bytes = run.fabric_bytes;
     forwarded_messages = run.forwarded_messages;
     sorted_messages = tram.routed_sorted_msgs;
     subview_deliveries = tram.routed_subview_deliveries;
     fwd_copy_bytes = tram.routed_forward_copy_bytes;
     fwd_subview_bytes = tram.routed_forward_subview_bytes;
     max_staged_fwd_bytes = tram.max_staged_fwd_bytes;
-    fabric_messages = run.fabric_messages;
-    fabric_bytes = run.fabric_bytes;
     max_reserved_buffers = max_reserved;
     faults = f;
   }
 };
 
-/// The slice of a bench point every routed row reports — what
-/// make_routed_row serializes and RoutedVerifySweep compares.
-struct RoutedRowCounters {
-  double ns_per_item = 0.0;
-  std::uint64_t fabric_messages = 0;
-  std::uint64_t fabric_bytes = 0;
-  std::uint64_t forwarded_messages = 0;
-  std::uint64_t sorted_messages = 0;
-  std::uint64_t subview_deliveries = 0;
-  std::uint64_t fwd_copy_bytes = 0;
-  std::uint64_t fwd_subview_bytes = 0;
-  std::uint64_t max_staged_fwd_bytes = 0;
-  std::uint64_t max_reserved_buffers = 0;
-  core::FaultStats faults;
+/// Virtual mesh extents of `scheme` over `procs` processes ("8x8"), or
+/// "-" for a direct scheme.
+inline std::string mesh_label(core::Scheme scheme, int procs) {
+  if (!core::is_routed(scheme)) return "-";
+  return route::VirtualMesh::auto_factor(procs, core::mesh_ndims(scheme))
+      .to_string();
+}
+
+/// One configuration's result in a bench sweep, as serialized by
+/// JsonReporter — the machine-readable record next to the human-readable
+/// table. Counters only: wall time belongs to perfbench/.
+struct JsonRow {
+  JsonRow(std::string scheme_, std::string topology_, std::string mesh_,
+          const RoutedCounters& c_, bool verified_)
+      : scheme(std::move(scheme_)), topology(std::move(topology_)),
+        mesh(std::move(mesh_)), c(c_), verified(verified_) {}
+
+  std::string scheme;    // aggregation scheme ("WPs", "Mesh2D", ...)
+  std::string topology;  // machine shape ("4n x 2p x 8w")
+  std::string mesh;      // virtual mesh extents ("8x8"; "-" for direct)
+  RoutedCounters c;
+  bool verified;
+  /// Extra bench-specific fields, pre-rendered as JSON ("\"k\": v, ...");
+  /// spliced into the row object verbatim when nonempty.
+  std::string extra_json;
 };
-
-/// Collect the shared counter slice out of a bench's point struct.
-inline RoutedRowCounters routed_counters_from(const RoutedPointCounters& p,
-                                              double ns_per_item) {
-  RoutedRowCounters c;
-  c.ns_per_item = ns_per_item;
-  c.fabric_messages = p.fabric_messages;
-  c.fabric_bytes = p.fabric_bytes;
-  c.forwarded_messages = p.forwarded_messages;
-  c.sorted_messages = p.sorted_messages;
-  c.subview_deliveries = p.subview_deliveries;
-  c.fwd_copy_bytes = p.fwd_copy_bytes;
-  c.fwd_subview_bytes = p.fwd_subview_bytes;
-  c.max_staged_fwd_bytes = p.max_staged_fwd_bytes;
-  c.max_reserved_buffers = p.max_reserved_buffers;
-  c.faults = p.faults;
-  return c;
-}
-
-/// Build the JSON row every routed bench emits per (scheme, scale) cell.
-inline JsonRow make_routed_row(const std::string& scheme,
-                               const std::string& topology,
-                               const std::string& mesh,
-                               const RoutedRowCounters& c, bool verified) {
-  JsonRow row;
-  row.scheme = scheme;
-  row.topology = topology;
-  row.mesh = mesh;
-  row.ns_per_item = c.ns_per_item;
-  row.messages = c.fabric_messages;
-  row.bytes = c.fabric_bytes;
-  row.forwarded = c.forwarded_messages;
-  row.sorted = c.sorted_messages;
-  row.subviews = c.subview_deliveries;
-  row.fwd_copy_bytes = c.fwd_copy_bytes;
-  row.fwd_subview_bytes = c.fwd_subview_bytes;
-  row.max_staged_fwd_bytes = c.max_staged_fwd_bytes;
-  row.max_buffers = c.max_reserved_buffers;
-  row.faults = c.faults;
-  row.verified = verified;
-  return row;
-}
-
 
 /// Accumulates JsonRows and writes them as one JSON document:
 ///   {"bench": <name>, "results": [ {...}, ... ]}
@@ -347,11 +287,16 @@ class JsonReporter {
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [",
                  bench_.c_str());
+    const auto u = [](std::uint64_t v) {
+      return static_cast<unsigned long long>(v);
+    };
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const JsonRow& r = rows_[i];
+      const RoutedCounters& c = r.c;
+      const core::FaultStats& fs = c.faults;
       std::fprintf(f,
                    "%s\n    {\"scheme\": \"%s\", \"topology\": \"%s\", "
-                   "\"mesh\": \"%s\", \"ns_per_item\": %.2f, "
+                   "\"mesh\": \"%s\", "
                    "\"messages\": %llu, \"bytes\": %llu, "
                    "\"forwarded\": %llu, \"sorted\": %llu, "
                    "\"subviews\": %llu, "
@@ -370,35 +315,16 @@ class JsonReporter {
                    "\"link_busy_ns\": %llu, \"max_link_queue_ns\": %llu, "
                    "%s%s\"verified\": %s}",
                    i == 0 ? "" : ",", r.scheme.c_str(), r.topology.c_str(),
-                   r.mesh.c_str(), r.ns_per_item,
-                   static_cast<unsigned long long>(r.messages),
-                   static_cast<unsigned long long>(r.bytes),
-                   static_cast<unsigned long long>(r.forwarded),
-                   static_cast<unsigned long long>(r.sorted),
-                   static_cast<unsigned long long>(r.subviews),
-                   static_cast<unsigned long long>(r.fwd_copy_bytes),
-                   static_cast<unsigned long long>(r.fwd_subview_bytes),
-                   static_cast<unsigned long long>(r.max_staged_fwd_bytes),
-                   static_cast<unsigned long long>(r.max_buffers),
-                   static_cast<unsigned long long>(
-                       r.faults.faults_injected_drop),
-                   static_cast<unsigned long long>(
-                       r.faults.faults_injected_dup),
-                   static_cast<unsigned long long>(
-                       r.faults.faults_injected_delay),
-                   static_cast<unsigned long long>(r.faults.retransmits),
-                   static_cast<unsigned long long>(r.faults.dup_drops),
-                   static_cast<unsigned long long>(r.faults.acks_sent),
-                   static_cast<unsigned long long>(
-                       r.faults.fast_retransmits),
-                   static_cast<unsigned long long>(r.faults.rto_fires),
-                   static_cast<unsigned long long>(r.faults.rtx_bytes),
-                   static_cast<unsigned long long>(r.faults.paced_msgs),
-                   static_cast<unsigned long long>(
-                       r.faults.max_inflight_msgs),
-                   static_cast<unsigned long long>(r.faults.link_busy_ns),
-                   static_cast<unsigned long long>(
-                       r.faults.max_link_queue_ns),
+                   r.mesh.c_str(), u(c.fabric_messages), u(c.fabric_bytes),
+                   u(c.forwarded_messages), u(c.sorted_messages),
+                   u(c.subview_deliveries), u(c.fwd_copy_bytes),
+                   u(c.fwd_subview_bytes), u(c.max_staged_fwd_bytes),
+                   u(c.max_reserved_buffers), u(fs.faults_injected_drop),
+                   u(fs.faults_injected_dup), u(fs.faults_injected_delay),
+                   u(fs.retransmits), u(fs.dup_drops), u(fs.acks_sent),
+                   u(fs.fast_retransmits), u(fs.rto_fires), u(fs.rtx_bytes),
+                   u(fs.paced_msgs), u(fs.max_inflight_msgs),
+                   u(fs.link_busy_ns), u(fs.max_link_queue_ns),
                    r.extra_json.c_str(), r.extra_json.empty() ? "" : ", ",
                    r.verified ? "true" : "false");
     }
@@ -456,6 +382,13 @@ double median_seconds(int trials, Fn&& fn) {
   return samples[samples.size() / 2];
 }
 
+/// The counter-only sweeps' loop: one warmup run of `fn`, then `trials`
+/// more. The caller's point keeps the last run's counters.
+template <typename Fn>
+void run_trials(int trials, Fn&& fn) {
+  for (int i = 0; i <= trials; ++i) fn();
+}
+
 /// Collects shape-expectation results and prints a summary.
 class ShapeChecker {
  public:
@@ -491,14 +424,12 @@ class RoutedVerifySweep {
  public:
   /// Call once per proc count, before that scale's add() calls.
   void start_scale() { cells_.emplace_back(); }
-  void add(const RoutedRowCounters& c, bool verified) {
-    cells_.back().push_back(Cell{c, verified});
-  }
+  void add(const JsonRow& row) { cells_.back().push_back(row); }
 
   bool all_verified() const {
     for (const auto& scale : cells_) {
-      for (const auto& cell : scale) {
-        if (!cell.verified) return false;
+      for (const auto& row : scale) {
+        if (!row.verified) return false;
       }
     }
     return true;
@@ -512,9 +443,9 @@ class RoutedVerifySweep {
                        const std::string& verified_what) const {
     shapes.expect(all_verified(), verified_what);
     const auto& last = cells_.back();
-    const RoutedRowCounters& direct = last[0].c;
-    const RoutedRowCounters& mesh2d = last[1].c;
-    const RoutedRowCounters& mesh3d = last[2].c;
+    const RoutedCounters& direct = last[0].c;
+    const RoutedCounters& mesh2d = last[1].c;
+    const RoutedCounters& mesh3d = last[2].c;
     shapes.expect(
         mesh2d.max_reserved_buffers < direct.max_reserved_buffers,
         "2-D mesh holds fewer live source buffers than direct at the "
@@ -526,11 +457,7 @@ class RoutedVerifySweep {
   }
 
  private:
-  struct Cell {
-    RoutedRowCounters c;
-    bool verified = false;
-  };
-  std::vector<std::vector<Cell>> cells_;
+  std::vector<std::vector<JsonRow>> cells_;
 };
 
 /// Print the table (and CSV when requested).

@@ -49,11 +49,10 @@ int main(int argc, char** argv) {
       params.tram.buffer_items = 256;
       apps::PholdApp app(machine, params);
       util::RunningStats pct_stats, count_stats;
-      bench::median_seconds(static_cast<int>(opt.trials), [&] {
+      bench::run_trials(static_cast<int>(opt.trials), [&] {
         const auto res = app.run();
         pct_stats.add(res.ooo_pct);
         count_stats.add(static_cast<double>(res.ooo_events));
-        return res.run.wall_s;
       });
       // Warmup included above; drop nothing — OOO percentages are stable
       // from the first run, and averaging over all runs cuts noise.

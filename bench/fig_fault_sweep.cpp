@@ -1,7 +1,7 @@
-/// Recovery-path sweep: loss rate x scheme x recovery mode -> ns/item,
-/// retransmit profile, and exactly-once verification on a contended,
-/// lossy fabric. This is the benchmark that makes src/fault/ a
-/// first-class measured subsystem instead of a correctness-only feature.
+/// Recovery-path sweep: loss rate x scheme x recovery mode -> retransmit
+/// profile and exactly-once verification on a contended, lossy fabric.
+/// This is the benchmark that makes src/fault/ a first-class measured
+/// subsystem instead of a correctness-only feature.
 ///
 /// Every cell runs the histogram workload (commutative increments, so
 /// the final table is order-independent) through the reliability layer
@@ -39,14 +39,12 @@
 
 #include "apps/histogram.hpp"
 #include "bench_common.hpp"
-#include "route/virtual_mesh.hpp"
 
 using namespace tram;
 
 namespace {
 
-struct SweepPoint : bench::RoutedPointCounters {
-  double seconds = 0.0;
+struct SweepPoint : bench::RoutedCounters {
   bool verified = true;
   std::uint64_t table_hash = 0;
 };
@@ -80,12 +78,11 @@ SweepPoint run_cell(const util::Topology& topo,
   apps::HistogramApp app(machine, params);
 
   SweepPoint point;
-  point.seconds = bench::median_seconds(trials, [&] {
+  bench::run_trials(trials, [&] {
     const auto res = app.run();
     point.capture(res.tram, res.run, res.max_reserved_buffers,
                   machine.fault_stats());
     point.verified = point.verified && res.verified;
-    return res.run.wall_s;
   });
   // Every trial reruns the same seed, so the surviving table is the
   // deterministic final state — hash it for the bit-identical check.
@@ -170,7 +167,7 @@ int main(int argc, char** argv) {
                     " updates/PE, g=" + std::to_string(g) +
                     ", non-SMP, contended links");
   table.set_header({"procs", "scheme", "mode", "drop", "rtx", "fast",
-                    "rto", "dup", "paced", "win", "ns/item", "ok"});
+                    "rto", "dup", "paced", "win", "ok"});
 
   bench::JsonReporter json("fault_sweep");
   bench::ShapeChecker shapes;
@@ -190,12 +187,7 @@ int main(int argc, char** argv) {
       core::TramConfig tram;
       tram.scheme = scheme;
       tram.buffer_items = g;
-      std::string mesh = "-";
-      if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
-                                               core::mesh_ndims(scheme))
-                   .to_string();
-      }
+      const std::string mesh = bench::mesh_label(scheme, procs);
       // Fault-free reference: the bit-identical anchor for this
       // (procs, scheme) on the same workload seed and cost model.
       rt::RuntimeConfig ref_cfg = base_cfg;
@@ -221,10 +213,6 @@ int main(int argc, char** argv) {
               point.verified && point.table_hash == ref.table_hash;
           all_verified = all_verified && verified;
 
-          const double ns_per_item =
-              point.seconds * 1e9 /
-              static_cast<double>(updates *
-                                  static_cast<std::uint64_t>(procs));
           const auto& f = point.faults;
           table.add_row(
               {util::Table::fmt_int(procs), core::to_string(scheme),
@@ -237,12 +225,10 @@ int main(int argc, char** argv) {
                util::Table::fmt_int(static_cast<long long>(f.paced_msgs)),
                util::Table::fmt_int(
                    static_cast<long long>(f.max_inflight_msgs)),
-               util::Table::fmt(ns_per_item, 1),
                verified ? "yes" : "NO"});
 
-          const auto c = bench::routed_counters_from(point, ns_per_item);
-          bench::JsonRow row = bench::make_routed_row(
-              core::to_string(scheme), topo.to_string(), mesh, c, verified);
+          bench::JsonRow row{core::to_string(scheme), topo.to_string(),
+                             mesh, point, verified};
           char extra[96];
           std::snprintf(extra, sizeof extra,
                         "\"drop\": %.2f, \"mode\": \"%s\"", drop,

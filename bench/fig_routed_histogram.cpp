@@ -10,21 +10,16 @@
 /// lossy fabric through the reliability layer (src/fault/): every row
 /// must still verify (exactly-once table totals), and the fault counters
 /// land in the JSON. Without fault flags the bench additionally checks
-/// the zero-cost guarantee: an explicitly all-zero FaultConfig leaves the
-/// transport chain undecorated and the WPs ns/item unchanged (within
-/// host noise).
+/// that the default all-zero FaultConfig engaged none of the fault
+/// machinery.
 ///
 /// Runs non-SMP (one worker per process) so the process count is the only
 /// variable. Emits BENCH_routed_histogram.json (override with --json).
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "hist_common.hpp"
-#include "route/virtual_mesh.hpp"
 
 using namespace tram;
 
@@ -57,7 +52,7 @@ int main(int argc, char** argv) {
                     " updates/PE, g=" + std::to_string(g) + ", non-SMP" +
                     (fault.any() ? ", faulty fabric" : ""));
   table.set_header({"procs", "scheme", "mesh", "bufs", "items/msg", "msgs",
-                    "fwd msgs", "sorted", "rtx", "wall s", "ok"});
+                    "fwd msgs", "sorted", "rtx", "ok"});
 
   bench::JsonReporter json("routed_histogram");
   bench::ShapeChecker shapes;
@@ -66,11 +61,7 @@ int main(int argc, char** argv) {
   rt::RuntimeConfig rt_cfg = bench::bench_runtime_nonsmp();
   rt_cfg.fault = fault.to_config();
 
-  struct Cell {
-    bench::HistoPoint point;
-    std::string mesh;
-  };
-  std::vector<std::vector<Cell>> cells(proc_counts.size());
+  std::vector<std::vector<bench::HistoPoint>> cells(proc_counts.size());
 
   for (std::size_t pi = 0; pi < proc_counts.size(); ++pi) {
     const int procs = proc_counts[pi];
@@ -80,21 +71,13 @@ int main(int argc, char** argv) {
       core::TramConfig tram;
       tram.scheme = scheme;
       tram.buffer_items = g;
-      std::string mesh = "-";
-      if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
-                                               core::mesh_ndims(scheme))
-                   .to_string();
-      }
+      const std::string mesh = bench::mesh_label(scheme, procs);
       trace::phase(std::string(core::to_string(scheme)) + " p=" +
                    std::to_string(procs));
       const auto point = bench::run_histogram(
           topo, rt_cfg, tram, updates, static_cast<int>(opt.trials));
-      cells[pi].push_back({point, mesh});
+      cells[pi].push_back(point);
 
-      const double ns_per_item =
-          point.seconds * 1e9 /
-          static_cast<double>(updates * static_cast<std::uint64_t>(procs));
       table.add_row(
           {util::Table::fmt_int(procs), core::to_string(scheme), mesh,
            util::Table::fmt_int(
@@ -108,14 +91,12 @@ int main(int argc, char** argv) {
                static_cast<long long>(point.sorted_messages)),
            util::Table::fmt_int(
                static_cast<long long>(point.faults.retransmits)),
-           util::Table::fmt(point.seconds, 4),
            point.verified ? "yes" : "NO"});
 
-      const auto c = bench::routed_counters_from(point, ns_per_item);
-      sweep.add(c, point.verified);
-      json.add(bench::make_routed_row(core::to_string(scheme),
-                                      topo.to_string(), mesh, c,
-                                      point.verified));
+      const bench::JsonRow row{core::to_string(scheme), topo.to_string(),
+                               mesh, point, point.verified};
+      sweep.add(row);
+      json.add(row);
     }
   }
   bench::emit(table, opt);
@@ -126,9 +107,9 @@ int main(int argc, char** argv) {
       shapes, "every configuration delivered every item exactly once");
 
   const std::size_t last = proc_counts.size() - 1;  // largest proc count
-  const auto& direct = cells[last][0].point;
-  const auto& mesh2d = cells[last][1].point;
-  const auto& mesh3d = cells[last][2].point;
+  const auto& direct = cells[last][0];
+  const auto& mesh2d = cells[last][1];
+  const auto& mesh3d = cells[last][2];
   shapes.expect(mesh3d.max_reserved_buffers <= mesh2d.max_reserved_buffers,
                 "3-D mesh holds no more live buffers than 2-D");
   shapes.expect(mesh2d.sorted_messages > 0 && mesh3d.sorted_messages > 0 &&
@@ -152,7 +133,7 @@ int main(int argc, char** argv) {
     // occupancy comparison below is fault-free-only: retransmit-
     // perturbed flush timing skews items/msg either way on a healthy
     // lossy run.
-    const auto& f2d = cells[last][1].point.faults;
+    const auto& f2d = mesh2d.faults;
     shapes.expect(f2d.faults_injected_drop + f2d.faults_injected_dup +
                           f2d.faults_injected_delay >
                       0,
@@ -162,79 +143,12 @@ int main(int argc, char** argv) {
     shapes.expect(mesh2d.mean_occupancy > direct.mean_occupancy,
                   "fewer, fatter buffers: routed messages carry more "
                   "items than direct at the largest scale");
-    // Zero-cost guarantee for FaultConfig{} (all zero). Structural half:
-    // the default config installs no decorators and counts nothing.
-    const auto& f = cells[last][0].point.faults;
+    // Zero-cost guarantee for FaultConfig{} (all zero): the default
+    // config installs no decorators and counts nothing.
+    const auto& f = direct.faults;
     shapes.expect(f.faults_injected_drop == 0 && f.retransmits == 0 &&
                       f.dup_drops == 0 && f.acks_sent == 0,
                   "fault-free sweep engaged none of the fault machinery");
-    // Timing half: re-run the smallest WPs cell with an explicitly
-    // all-zero FaultConfig — the identical code path, so ns/item may
-    // differ only by host noise (generous band: this box is shared).
-    const int procs0 = proc_counts[0];
-    const util::Topology topo0(procs0, 1, 1);
-    core::TramConfig tram0;
-    tram0.scheme = core::Scheme::WPs;
-    tram0.buffer_items = g;
-    rt::RuntimeConfig explicit_zero = bench::bench_runtime_nonsmp();
-    explicit_zero.fault = fault::FaultConfig{};
-    const auto rerun = bench::run_histogram(
-        topo0, explicit_zero, tram0, updates, static_cast<int>(opt.trials));
-    const double base_ns =
-        cells[0][0].point.seconds * 1e9 /
-        static_cast<double>(updates * static_cast<std::uint64_t>(procs0));
-    const double rerun_ns =
-        rerun.seconds * 1e9 /
-        static_cast<double>(updates * static_cast<std::uint64_t>(procs0));
-    std::printf("\nzero-fault sanity: WPs@%d ns/item %.2f (sweep) vs %.2f "
-                "(explicit FaultConfig{})\n",
-                procs0, base_ns, rerun_ns);
-    shapes.expect(rerun_ns < base_ns * 4.0 && base_ns < rerun_ns * 4.0,
-                  "explicit all-zero FaultConfig leaves WPs ns/item "
-                  "unchanged (within host noise)");
-  }
-
-  // Tracing overhead A/B: the smallest WPs cell with event recording
-  // runtime-disabled vs enabled. The record path is one predicted branch
-  // when off and a 32-byte ring store when on (bench/micro_trace.cpp
-  // pins both), so traced ns/item must stay within 5% of untraced. Five
-  // interleaved off/on pairs, each pair yielding a ratio, and the median
-  // ratio judged: adjacent runs see the same host conditions (this box's
-  // run-to-run swing dwarfs the effect under test), and the median sheds
-  // the scheduler's outliers.
-  {
-    const int procs0 = proc_counts[0];
-    const util::Topology topo0(procs0, 1, 1);
-    core::TramConfig tram0;
-    tram0.scheme = core::Scheme::WPs;
-    tram0.buffer_items = g;
-    const bool was_tracing = trace::enabled();
-    trace::phase("trace A/B");
-    std::vector<double> ratios;
-    double off_ns = 0.0, on_ns = 0.0;
-    const double denom =
-        static_cast<double>(updates * static_cast<std::uint64_t>(procs0));
-    for (int rep = 0; rep < 5; ++rep) {
-      trace::set_enabled(false);
-      const auto untraced = bench::run_histogram(
-          topo0, rt_cfg, tram0, updates, static_cast<int>(opt.trials));
-      trace::set_enabled(true);
-      const auto traced = bench::run_histogram(
-          topo0, rt_cfg, tram0, updates, static_cast<int>(opt.trials));
-      ratios.push_back(traced.seconds / untraced.seconds);
-      off_ns = untraced.seconds * 1e9 / denom;
-      on_ns = traced.seconds * 1e9 / denom;
-    }
-    trace::set_enabled(was_tracing);
-    std::sort(ratios.begin(), ratios.end());
-    const double median = ratios[ratios.size() / 2];
-    std::printf("\ntrace overhead A/B: WPs@%d ns/item %.2f (untraced) vs "
-                "%.2f (traced); median of %zu pair ratios %+.1f%%\n",
-                procs0, off_ns, on_ns, ratios.size(),
-                (median - 1.0) * 100.0);
-    shapes.expect(median < 1.05,
-                  "traced ns/item within 5% of untraced (median of "
-                  "interleaved pairs)");
   }
   opt.finish_trace();
   shapes.report();

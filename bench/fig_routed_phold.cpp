@@ -20,18 +20,15 @@
 
 #include "apps/phold.hpp"
 #include "bench_common.hpp"
-#include "route/virtual_mesh.hpp"
 #include "runtime/machine.hpp"
 
 using namespace tram;
 
 namespace {
 
-struct PholdPoint : bench::RoutedPointCounters {
-  double seconds = 0.0;
+struct PholdPoint : bench::RoutedCounters {
   std::uint64_t events = 0;
   double ooo_pct = 0.0;
-  std::uint64_t items = 0;
   bool exactly_once = true;
 };
 
@@ -51,16 +48,14 @@ PholdPoint run_phold(const util::Topology& topo,
 
   PholdPoint point;
   util::RunningStats pct_stats;
-  point.seconds = bench::median_seconds(trials, [&] {
+  bench::run_trials(trials, [&] {
     const auto res = app.run();
     pct_stats.add(res.ooo_pct);
     point.capture(res.tram, res.run, res.max_reserved_buffers,
                   machine.fault_stats());
     point.events = res.events_processed;
-    point.items = res.tram.items_delivered;
     point.exactly_once = point.exactly_once &&
                          res.tram.items_inserted == res.tram.items_delivered;
-    return res.run.wall_s;
   });
   point.ooo_pct = pct_stats.mean();
   return point;
@@ -94,7 +89,7 @@ int main(int argc, char** argv) {
                     util::Table::fmt(end_time, 0) + ", non-SMP" +
                     (fault.any() ? ", faulty fabric" : ""));
   table.set_header({"procs", "scheme", "mesh", "events", "ooo %", "bufs",
-                    "msgs", "fwd msgs", "rtx", "wall s", "ok"});
+                    "msgs", "fwd msgs", "rtx", "ok"});
 
   bench::JsonReporter json("routed_phold");
   bench::ShapeChecker shapes;
@@ -114,12 +109,7 @@ int main(int argc, char** argv) {
       core::TramConfig tram;
       tram.scheme = scheme;
       tram.buffer_items = 256;
-      std::string mesh = "-";
-      if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
-                                               core::mesh_ndims(scheme))
-                   .to_string();
-      }
+      const std::string mesh = bench::mesh_label(scheme, procs);
       trace::phase(std::string(core::to_string(scheme)) + " p=" +
                    std::to_string(procs));
       const auto point = run_phold(topo, tram, rt_cfg, end_time,
@@ -130,11 +120,10 @@ int main(int argc, char** argv) {
           point.exactly_once && point.events == direct_events &&
           point.events > 0;
 
-      const auto c = bench::routed_counters_from(
-          point, point.items ? point.seconds * 1e9 /
-                                   static_cast<double>(point.items)
-                             : 0.0);
-      sweep.add(c, verified);
+      const bench::JsonRow row{core::to_string(scheme), topo.to_string(),
+                               mesh, point, verified};
+      sweep.add(row);
+      json.add(row);
 
       table.add_row(
           {util::Table::fmt_int(procs), core::to_string(scheme), mesh,
@@ -148,10 +137,7 @@ int main(int argc, char** argv) {
                static_cast<long long>(point.forwarded_messages)),
            util::Table::fmt_int(
                static_cast<long long>(point.faults.retransmits)),
-           util::Table::fmt(point.seconds, 4), verified ? "yes" : "NO"});
-
-      json.add(bench::make_routed_row(core::to_string(scheme),
-                                      topo.to_string(), mesh, c, verified));
+           verified ? "yes" : "NO"});
     }
   }
   bench::emit(table, opt);

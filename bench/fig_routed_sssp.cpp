@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <string>
 
-#include "route/virtual_mesh.hpp"
 #include "sssp_common.hpp"
 
 using namespace tram;
@@ -54,7 +53,7 @@ int main(int argc, char** argv) {
                     " vertices, priority path on, non-SMP" +
                     (fault.any() ? ", faulty fabric" : ""));
   table.set_header({"procs", "scheme", "mesh", "bufs", "wasted %", "msgs",
-                    "fwd msgs", "pri msgs", "rtx", "wall s", "ok"});
+                    "fwd msgs", "pri msgs", "rtx", "ok"});
 
   bench::JsonReporter json("routed_sssp");
   bench::ShapeChecker shapes;
@@ -80,12 +79,7 @@ int main(int argc, char** argv) {
       tram.scheme = scheme;
       tram.buffer_items = 256;
       tram.priority_buffer_items = 16;
-      std::string mesh = "-";
-      if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
-                                               core::mesh_ndims(scheme))
-                   .to_string();
-      }
+      const std::string mesh = bench::mesh_label(scheme, procs);
       trace::phase(std::string(core::to_string(scheme)) + " p=" +
                    std::to_string(procs));
       const auto point =
@@ -99,11 +93,10 @@ int main(int argc, char** argv) {
       const bool verified = point.verified && point.exactly_once &&
                             point.dist_hash == direct_hash;
 
-      const auto c = bench::routed_counters_from(
-          point, point.items ? point.seconds * 1e9 /
-                                   static_cast<double>(point.items)
-                             : 0.0);
-      sweep.add(c, verified);
+      const bench::JsonRow row{core::to_string(scheme), topo.to_string(),
+                               mesh, point, verified};
+      sweep.add(row);
+      json.add(row);
       if (pi + 1 == proc_counts.size()) {
         last_priority_msgs[si] = point.priority_messages;
       }
@@ -121,10 +114,7 @@ int main(int argc, char** argv) {
                static_cast<long long>(point.priority_messages)),
            util::Table::fmt_int(
                static_cast<long long>(point.faults.retransmits)),
-           util::Table::fmt(point.seconds, 4), verified ? "yes" : "NO"});
-
-      json.add(bench::make_routed_row(core::to_string(scheme),
-                                      topo.to_string(), mesh, c, verified));
+           verified ? "yes" : "NO"});
     }
   }
   bench::emit(table, opt);

@@ -20,15 +20,13 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "route/virtual_mesh.hpp"
 #include "shuffle/shuffle_app.hpp"
 
 using namespace tram;
 
 namespace {
 
-struct ShufflePoint : bench::RoutedPointCounters {
-  double seconds = 0.0;
+struct ShufflePoint : bench::RoutedCounters {
   std::uint64_t records = 0;
   std::uint64_t spill_bytes = 0;
   std::uint64_t spill_runs = 0;
@@ -48,7 +46,7 @@ ShufflePoint run_shuffle(const util::Topology& topo,
   shuffle::ShuffleApp app(machine, params);
 
   ShufflePoint point;
-  point.seconds = bench::median_seconds(trials, [&] {
+  bench::run_trials(trials, [&] {
     const auto res = app.run();
     point.capture(res.tram, res.run, res.max_reserved_buffers,
                   machine.fault_stats());
@@ -59,7 +57,6 @@ ShufflePoint run_shuffle(const util::Topology& topo,
     point.staging_peak = res.staging_peak_bytes;
     point.output_crc = res.output_crc;
     point.verified = point.verified && res.verified;
-    return res.run.wall_s;
   });
   return point;
 }
@@ -148,7 +145,7 @@ int main(int argc, char** argv) {
       std::to_string(input_bytes / (budget ? budget : 1)) + "x), non-SMP" +
       (fault.any() ? ", faulty fabric" : ""));
   table.set_header({"procs", "scheme", "mesh", "spill KiB", "runs", "fanin",
-                    "peak KiB", "fwd msgs", "rtx", "wall s", "ok"});
+                    "peak KiB", "fwd msgs", "rtx", "ok"});
 
   bench::JsonReporter json("shuffle");
   bench::ShapeChecker shapes;
@@ -171,12 +168,7 @@ int main(int argc, char** argv) {
       core::TramConfig tram;
       tram.scheme = scheme;
       tram.buffer_items = 256;
-      std::string mesh = "-";
-      if (core::is_routed(scheme)) {
-        mesh = route::VirtualMesh::auto_factor(procs,
-                                               core::mesh_ndims(scheme))
-                   .to_string();
-      }
+      const std::string mesh = bench::mesh_label(scheme, procs);
       trace::phase(std::string(core::to_string(scheme)) + " p=" +
                    std::to_string(procs));
       const auto point = run_shuffle(topo, rt_cfg, tram, base,
@@ -187,13 +179,6 @@ int main(int argc, char** argv) {
       }
       const bool verified =
           point.verified && point.output_crc == reference_crc;
-
-      const double ns_per_record =
-          point.records ? point.seconds * 1e9 /
-                              static_cast<double>(point.records)
-                        : 0.0;
-      const auto c = bench::routed_counters_from(point, ns_per_record);
-      sweep.add(c, verified);
 
       table.add_row(
           {util::Table::fmt_int(procs), core::to_string(scheme), mesh,
@@ -207,10 +192,10 @@ int main(int argc, char** argv) {
                static_cast<long long>(point.forwarded_messages)),
            util::Table::fmt_int(
                static_cast<long long>(point.faults.retransmits)),
-           util::Table::fmt(point.seconds, 4), verified ? "yes" : "NO"});
+           verified ? "yes" : "NO"});
 
-      auto row = bench::make_routed_row(core::to_string(scheme),
-                                        topo.to_string(), mesh, c, verified);
+      bench::JsonRow row{core::to_string(scheme), topo.to_string(), mesh,
+                         point, verified};
       char extra[256];
       std::snprintf(
           extra, sizeof extra,
@@ -227,6 +212,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(point.staging_peak),
           static_cast<unsigned long long>(point.output_crc));
       row.extra_json = extra;
+      sweep.add(row);
       json.add(row);
     }
   }

@@ -9,7 +9,7 @@
 
 namespace tram::bench {
 
-struct HistoPoint : RoutedPointCounters {
+struct HistoPoint : RoutedCounters {
   double seconds = 0.0;
   std::uint64_t flush_messages = 0;
   double mean_occupancy = 0.0;  // items per shipped message

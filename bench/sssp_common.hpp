@@ -9,15 +9,12 @@
 
 namespace tram::bench {
 
-struct SsspPoint : RoutedPointCounters {
+struct SsspPoint : RoutedCounters {
   double seconds = 0.0;
   double wasted_pct = 0.0;
-  std::uint64_t wasted = 0;
   double mean_occupancy = 0.0;
   bool verified = true;
-  /// Items delivered through the tram domain (== inserted when delivery
-  /// was exactly-once; exactly_once asserts that).
-  std::uint64_t items = 0;
+  /// Items inserted == delivered through the tram domain on every run.
   bool exactly_once = true;
   std::uint64_t priority_messages = 0;
   /// FNV-1a over every vertex's final distance: two runs converged to
@@ -47,10 +44,8 @@ inline SsspPoint run_sssp(const graph::Csr& g, const util::Topology& topo,
     pct_stats.add(res.wasted_pct);
     point.capture(res.tram, res.run, res.max_reserved_buffers,
                   machine.fault_stats());
-    point.wasted = res.wasted_updates;
     point.mean_occupancy = res.tram.occupancy_at_ship.mean();
     point.verified = point.verified && res.verified;
-    point.items = res.tram.items_delivered;
     point.exactly_once = point.exactly_once &&
                          res.tram.items_inserted == res.tram.items_delivered;
     point.priority_messages = res.tram.priority_msgs;

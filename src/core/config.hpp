@@ -37,12 +37,6 @@ struct TramConfig {
   /// optimizations).
   bool expedited = true;
 
-  /// Optional time-based flush: when nonzero, a worker's insert path
-  /// (checked every 1024 inserts) flushes all its buffers once its last
-  /// flush is older than this many nanoseconds — a latency bound for
-  /// busy workers whose idle hook never runs. Every scheme honors it.
-  std::uint64_t flush_timeout_ns = 0;
-
   /// Item prioritization (the paper's future-work feature): when nonzero,
   /// Handle::insert_priority routes items through a second, small set of
   /// per-worker buffers of this many items, shipped as expedited messages.

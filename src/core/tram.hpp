@@ -404,7 +404,6 @@ class TramDomain {
       } else {
         push_entry(slot, e, /*hop=*/1, /*pri=*/false);
       }
-      maybe_timeout_flush();
     }
 
     /// Aggregate an urgent item (the paper's future-work prioritization).
@@ -432,7 +431,6 @@ class TramDomain {
     /// intermediate buffers drain the same way. Priority slots flush
     /// first so urgent stragglers leave ahead of bulk at this hop too.
     void flush_all() {
-      auto& d = *domain_;
       const std::uint64_t shipped0 = stats_.msgs_shipped;
       for (const bool pri : {true, false}) {
         const SlotSet& set = slots(pri);
@@ -444,12 +442,11 @@ class TramDomain {
           }
         }
       }
-      if (d.shared_) flush_shared();
+      if (domain_->shared_) flush_shared();
       if (stats_.msgs_shipped > shipped0) {
         trace::instant(trace::Cat::kRoute, trace::kFlushIdle,
                        stats_.msgs_shipped - shipped0);
       }
-      if (d.cfg_.flush_timeout_ns != 0) last_flush_ns_ = util::now_ns();
     }
 
     const WorkerTramStats& stats() const noexcept { return stats_; }
@@ -564,14 +561,6 @@ class TramDomain {
     }
     LocalWorkerId rank_of(WorkerId w) const noexcept {
       return wpp_ == 1 ? 0 : w % wpp_;
-    }
-
-    void maybe_timeout_flush() {
-      const auto& cfg = domain_->cfg_;
-      if (cfg.flush_timeout_ns == 0) return;
-      if ((++insert_tick_ & 0x3ff) != 0) return;  // check every 1024 inserts
-      const std::uint64_t now = util::now_ns();
-      if (now - last_flush_ns_ > cfg.flush_timeout_ns) flush_all();
     }
 
     /// Bucket an entry into its slot's buffer (priority entries into the
@@ -1228,8 +1217,6 @@ class TramDomain {
     std::atomic<std::uint64_t> pending_{0};
     WorkerTramStats stats_;
     std::uint64_t reserved_buffers_ = 0;
-    std::uint64_t insert_tick_ = 0;
-    std::uint64_t last_flush_ns_ = 0;
   };
 };
 

@@ -9,7 +9,6 @@
 #include "runtime/transport.hpp"
 #include "runtime/worker.hpp"
 #include "trace/trace.hpp"
-#include "util/spinlock.hpp"
 #include "util/timebase.hpp"
 
 namespace tram::rt {
@@ -18,14 +17,13 @@ CommThread::CommThread(Machine& machine, Process& proc)
     : machine_(machine), proc_(proc), transport_(machine.transport()) {}
 
 std::size_t CommThread::pump_egress() {
-  const auto& cfg = machine_.config();
   const int nworkers = proc_.worker_count();
   std::size_t forwarded = 0;
   for (LocalWorkerId r = 0; r < nworkers; ++r) {
     auto& ring = proc_.egress(r);
     // Bounded batch per worker per iteration keeps one chatty worker from
     // starving its siblings.
-    for (std::uint32_t i = 0; i < cfg.progress_batch; ++i) {
+    for (std::uint32_t i = 0; i < kProgressBatch; ++i) {
       auto m = ring.try_pop();
       if (!m) break;
       transport_.send(proc_.id(), std::move(*m));
@@ -43,7 +41,6 @@ std::size_t CommThread::pump_ingress() {
 }
 
 void CommThread::run() {
-  const auto& cfg = machine_.config();
   trace::set_thread_name("comm " + std::to_string(proc_.id()));
   std::uint32_t idle_round = 0;
   for (;;) {
@@ -79,13 +76,7 @@ void CommThread::run() {
       }
       continue;
     }
-    if (idle_round <= cfg.idle_spin) {
-      util::cpu_relax();
-    } else if (idle_round <= cfg.idle_spin + cfg.idle_yield) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(cfg.idle_nap_ns));
-    }
+    util::idle_backoff(idle_round, /*may_nap=*/true);
   }
 }
 

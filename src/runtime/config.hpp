@@ -1,7 +1,7 @@
 #pragma once
 ///
 /// \file config.hpp
-/// \brief Runtime tuning knobs (comm-thread costs, idle policy).
+/// \brief Runtime tuning knobs (comm-thread costs, fault injection, QD).
 
 #include <cstdint>
 
@@ -9,6 +9,16 @@
 #include "net/cost_model.hpp"
 
 namespace tram::rt {
+
+/// Max messages a worker handles per progress() call (and a comm thread
+/// forwards per worker ring per pass) before returning: bounds the
+/// latency of interleaved compute/progress loops.
+inline constexpr std::uint32_t kProgressBatch = 64;
+
+/// Counter-sampler cadence while tracing is enabled (trace::enabled()):
+/// how often the sampler thread snapshots pool occupancy, send backlog,
+/// in-flight messages, and reliability counters into counter events.
+inline constexpr std::uint64_t kTraceSampleNs = 200'000;
 
 struct RuntimeConfig {
   /// Interconnect model of the fabric every cross-process message crosses
@@ -43,24 +53,9 @@ struct RuntimeConfig {
   /// Capacity of each worker -> comm-thread egress ring.
   std::uint32_t egress_ring_capacity = 2048;
 
-  /// Max messages a worker handles per progress() call before returning to
-  /// the application (bounds latency of interleaved compute/progress loops).
-  std::uint32_t progress_batch = 64;
-
   /// Quiescence detection: the condition must hold this long (two samples)
   /// before the machine declares termination.
   std::uint64_t qd_settle_ns = 200'000;
-
-  /// Spin iterations before a worker/comm thread starts yielding when idle,
-  /// and the nap length once yields also find nothing.
-  std::uint32_t idle_spin = 256;
-  std::uint32_t idle_yield = 16;
-  std::uint64_t idle_nap_ns = 20'000;
-
-  /// Counter-sampler cadence while tracing is enabled (trace::enabled()):
-  /// how often the sampler thread snapshots pool occupancy, send backlog,
-  /// in-flight messages, and reliability counters into counter events.
-  std::uint64_t trace_sample_ns = 200'000;
 
   /// Returns a config with a zero-cost interconnect and zero comm-thread
   /// per-message costs: deterministic unit-test mode.

@@ -196,7 +196,7 @@ Machine::RunResult Machine::run(const std::function<void(Worker&)>& main_fn,
   // traced machines).
   std::unique_ptr<trace::CounterSampler> sampler;
   if (trace::enabled()) {
-    sampler = std::make_unique<trace::CounterSampler>(cfg_.trace_sample_ns);
+    sampler = std::make_unique<trace::CounterSampler>(kTraceSampleNs);
     sampler->add("backlog msgs", [this] {
       const std::uint64_t h = total_handled();
       const std::uint64_t s = total_sent();

@@ -1,7 +1,5 @@
 #include "runtime/worker.hpp"
 
-#include <chrono>
-#include <thread>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -140,15 +138,16 @@ std::size_t Worker::progress() {
   // pacing. SMP leaves polling to the comm thread.
   const RuntimeConfig& cfg = machine_.config();
   if (!cfg.dedicated_comm) machine_.transport().poll(proc_);
-  const std::uint32_t batch = cfg.progress_batch;
   // Span timestamp only when a batch is plausibly non-empty: idle workers
   // spin through here, and an unconditional clock read per spin is the
-  // kind of traced-run overhead the fig_routed_histogram A/B row bounds.
+  // kind of traced-run overhead perfbench's bench.trace_overhead_pct
+  // measures.
   std::uint64_t t0 = 0;
   if (trace::enabled() && !inbox_empty()) t0 = trace::maybe_now();
   // Expedited messages first (Charm++ expedited entry methods).
-  std::size_t n = drain(own_expedited_inbox_, expedited_inbox_, batch);
-  n += drain(own_inbox_, inbox_, batch - n);
+  std::size_t n =
+      drain(own_expedited_inbox_, expedited_inbox_, kProgressBatch);
+  n += drain(own_inbox_, inbox_, kProgressBatch - n);
   // One span per non-empty batch: the worker's busy time is the sum of
   // these, everything between them is idle/overhead.
   if (n > 0) trace::complete(trace::Cat::kRuntime, trace::kWorkerBusy, t0, n);
@@ -172,17 +171,9 @@ void Worker::scheduler_loop() {
     // off progressively so oversubscribed runs do not thrash.
     if (idle_round % 8 == 0) run_idle_hooks();
     ++idle_round;
-    if (idle_round <= cfg.idle_spin) {
-      util::cpu_relax();
-    } else if (idle_round <= cfg.idle_spin + cfg.idle_yield ||
-               !cfg.dedicated_comm) {
-      // Non-SMP workers never nap: they are also the comm pump and a nap
-      // would stretch every modeled arrival they owe their peers.
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(cfg.idle_nap_ns));
-    }
+    // Non-SMP workers never nap: they are also the comm pump and a nap
+    // would stretch every modeled arrival they owe their peers.
+    util::idle_backoff(idle_round, /*may_nap=*/cfg.dedicated_comm);
   }
 }
 

@@ -64,8 +64,8 @@ class Worker {
   /// On the worker's own thread it takes the single-threaded FIFO.
   void enqueue(Message&& m);
 
-  /// Handle up to config.progress_batch pending messages. Returns the
-  /// number handled. Call from compute loops that also generate messages so
+  /// Handle up to kProgressBatch pending messages. Returns the number
+  /// handled. Call from compute loops that also generate messages so
   /// that receives interleave with sends (message-driven execution). In
   /// non-SMP mode this is also where the worker pumps its process's
   /// transport: each call first polls it (inbound delivery, forwarding,

@@ -30,4 +30,14 @@ void wait_for_ns(std::uint64_t ns) noexcept {
   while (now_ns() < deadline) cpu_relax();
 }
 
+void idle_backoff(std::uint32_t idle_round, bool may_nap) noexcept {
+  if (idle_round <= kIdleSpin) {
+    cpu_relax();
+  } else if (idle_round <= kIdleSpin + kIdleYield || !may_nap) {
+    std::this_thread::yield();
+  } else {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(kIdleNapNs));
+  }
+}
+
 }  // namespace tram::util

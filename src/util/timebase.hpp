@@ -25,4 +25,13 @@ void spin_for_ns(std::uint64_t ns) noexcept;
 /// (>= 100us) and spins the remainder. Use for modeled network latencies.
 void wait_for_ns(std::uint64_t ns) noexcept;
 
+/// Idle backoff for polling loops, called once per empty round (counted
+/// from 1): cpu_relax() for the first kIdleSpin rounds, yield for the
+/// next kIdleYield, then nap kIdleNapNs per round — or keep yielding when
+/// `may_nap` is false.
+inline constexpr std::uint32_t kIdleSpin = 256;
+inline constexpr std::uint32_t kIdleYield = 16;
+inline constexpr std::uint64_t kIdleNapNs = 20'000;
+void idle_backoff(std::uint32_t idle_round, bool may_nap) noexcept;
+
 }  // namespace tram::util
